@@ -30,10 +30,8 @@
 //! recovered shards before they serve again.
 
 use crate::args::Args;
-use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_cluster::{ClusterConfig, Coordinator, CoordinatorServer};
-use dar_engine::EngineConfig;
 use std::time::Duration;
 
 /// Runs the command: connect to every shard, serve until a wire
@@ -64,9 +62,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Builds the cluster configuration from the flags. The engine flags
-/// mirror `dar serve`'s `build` so an operator can copy one flag set to
-/// both sides.
+/// Builds the cluster configuration from the flags. The engine flags are
+/// parsed by the same [`crate::commands::engine_flags`] as `dar serve`'s.
 pub fn build(args: &Args) -> Result<ClusterConfig, CliError> {
     let shards: Vec<String> = args
         .required("shards")?
@@ -79,36 +76,18 @@ pub fn build(args: &Args) -> Result<ClusterConfig, CliError> {
         return Err(CliError::new("--shards needs at least one host:port"));
     }
 
-    let threads = args.number::<usize>("threads", 0)?;
-    let mut engine = EngineConfig {
-        min_support_frac: args.number("support", 0.05)?,
-        metric: parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?,
-        threads,
-        ..EngineConfig::default()
-    };
-    engine.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
-    if let Some(raw) = args.optional("initial-threshold") {
-        let threshold: f64 = raw
-            .parse()
-            .map_err(|_| CliError::new(format!("--initial-threshold: cannot parse {raw:?}")))?;
-        engine.birch.initial_threshold = threshold;
-    }
-
-    let mut base_query = mining::RuleQuery::default();
-    crate::commands::apply_rank_flags(args, &mut base_query)?;
-
-    let timeout = Duration::from_millis(args.number::<u64>("timeout-ms", 30_000)?);
+    let (engine, front) = crate::commands::engine_flags(args)?;
     let defaults = ClusterConfig::default();
     Ok(ClusterConfig {
         shards,
-        timeout,
+        timeout: front.read_timeout,
         rescan: args.switch("rescan"),
         engine,
-        threads: if threads == 0 { dar_par::available_parallelism() } else { threads },
-        queue_depth: args.number::<usize>("queue", 64)?.max(1),
-        read_timeout: timeout,
-        write_timeout: timeout,
-        metrics_addr: args.optional("metrics-addr").map(String::from),
+        threads: front.threads,
+        queue_depth: front.queue_depth,
+        read_timeout: front.read_timeout,
+        write_timeout: front.write_timeout,
+        metrics_addr: front.metrics_addr,
         allow_partial: args.switch("allow-partial"),
         probe_interval: Duration::from_millis(
             args.number::<u64>("probe-interval-ms", defaults.probe_interval.as_millis() as u64)?,
@@ -120,7 +99,7 @@ pub fn build(args: &Args) -> Result<ClusterConfig, CliError> {
             args.number::<u64>("deadline-ms", defaults.deadline.as_millis() as u64)?,
         ),
         down_after: args.number::<u32>("down-after", defaults.down_after)?.max(1),
-        base_query,
+        base_query: front.base_query,
         ..defaults
     })
 }

@@ -12,10 +12,54 @@ pub mod stats;
 pub(crate) use crate::data::{default_partitioning, load};
 
 use crate::args::Args;
+use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_durable::{DiskStorage, Storage};
+use dar_engine::EngineConfig;
+use dar_serve::ServeConfig;
 use mining::{Measure, RuleQuery, MEASURES};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+/// Parses the flags `dar serve` and `dar cluster-coordinator` share, one
+/// way, so an operator can copy one flag set to both sides of a cluster:
+/// the engine flags (`--support`, `--metric`, `--threads`, `--memory-kb`,
+/// `--initial-threshold`) into the engine configuration, and the rank
+/// flags plus the front-end flags (`--threads`, `--queue`, `--timeout-ms`,
+/// `--metrics-addr`) into the front-end part of a [`ServeConfig`].
+pub(crate) fn engine_flags(args: &Args) -> Result<(EngineConfig, ServeConfig), CliError> {
+    // `--threads` sizes both pools: the TCP connection workers and the
+    // engine's data-parallel mining regions. 0 (the default) means the
+    // host's available parallelism; mining output is byte-identical at
+    // every setting.
+    let threads = args.number::<usize>("threads", 0)?;
+    let mut engine = EngineConfig {
+        min_support_frac: args.number("support", 0.05)?,
+        metric: parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?,
+        threads,
+        ..EngineConfig::default()
+    };
+    engine.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
+    if let Some(raw) = args.optional("initial-threshold") {
+        let threshold: f64 = raw
+            .parse()
+            .map_err(|_| CliError::new(format!("--initial-threshold: cannot parse {raw:?}")))?;
+        engine.birch.initial_threshold = threshold;
+    }
+    let mut base_query = RuleQuery::default();
+    apply_rank_flags(args, &mut base_query)?;
+    let timeout = Duration::from_millis(args.number::<u64>("timeout-ms", 30_000)?);
+    let front = ServeConfig {
+        threads: if threads == 0 { dar_par::available_parallelism() } else { threads },
+        queue_depth: args.number::<usize>("queue", 64)?.max(1),
+        read_timeout: timeout,
+        write_timeout: timeout,
+        metrics_addr: args.optional("metrics-addr").map(String::from),
+        base_query,
+        ..ServeConfig::default()
+    };
+    Ok((engine, front))
+}
 
 /// Applies the shared rule-quality flags onto a query: `--measure`
 /// (degree, lift, conviction, leverage, jaccard), `--min-measure`,

@@ -26,10 +26,9 @@
 //! sequence so recovery rebuilds the exact ring.
 
 use crate::args::Args;
-use crate::data::parse_cluster_metric;
 use crate::CliError;
 use dar_core::{Metric, Partitioning, Schema};
-use dar_engine::{DarEngine, EngineConfig};
+use dar_engine::DarEngine;
 use dar_serve::{
     recover_backend, EngineBackend, RetirePolicy, ServeConfig, ServeSummary, Server, WindowSpec,
     WindowedEngine,
@@ -116,51 +115,22 @@ pub fn build(args: &Args) -> Result<(EngineBackend, ServeConfig), CliError> {
     let schema = Schema::interval_attrs(attrs);
     let partitioning = Partitioning::per_attribute(&schema, Metric::Euclidean);
 
-    // `--threads` sizes both pools: the TCP connection workers and the
-    // engine's data-parallel mining regions. 0 (the default) means the
-    // host's available parallelism; mining output is byte-identical at
-    // every setting.
-    let threads = args.number::<usize>("threads", 0)?;
-    let mut config = EngineConfig {
-        min_support_frac: args.number("support", 0.05)?,
-        metric: parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?,
-        threads,
-        ..EngineConfig::default()
-    };
-    config.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
-    if let Some(raw) = args.optional("initial-threshold") {
-        let threshold: f64 = raw
-            .parse()
-            .map_err(|_| CliError::new(format!("--initial-threshold: cannot parse {raw:?}")))?;
-        config.birch.initial_threshold = threshold;
-    }
+    let (engine, front) = crate::commands::engine_flags(args)?;
     let backend = match window_options(args)? {
         Some((spec, policy)) => {
-            EngineBackend::from(WindowedEngine::new(partitioning, config, spec, policy)?)
+            EngineBackend::from(WindowedEngine::new(partitioning, engine, spec, policy)?)
         }
-        None => EngineBackend::from(DarEngine::new(partitioning, config)?),
+        None => EngineBackend::from(DarEngine::new(partitioning, engine)?),
     };
 
-    // The server's base query: rank knobs a client's `query` does not
-    // send fall back to these, and churn events score rules with them.
-    let mut base_query = mining::RuleQuery::default();
-    crate::commands::apply_rank_flags(args, &mut base_query)?;
-
-    let timeout = Duration::from_millis(args.number::<u64>("timeout-ms", 30_000)?);
     let serve_config = ServeConfig {
-        threads: if threads == 0 { dar_par::available_parallelism() } else { threads },
-        queue_depth: args.number::<usize>("queue", 64)?.max(1),
-        read_timeout: timeout,
-        write_timeout: timeout,
         snapshot_path: args.optional("snapshot-path").map(std::path::PathBuf::from),
         snapshot_interval: match args.number::<u64>("snapshot-secs", 0)? {
             0 => None,
             secs => Some(Duration::from_secs(secs)),
         },
         wal_path: args.optional("wal-path").map(std::path::PathBuf::from),
-        metrics_addr: args.optional("metrics-addr").map(String::from),
-        base_query,
-        ..ServeConfig::default()
+        ..front
     };
     if serve_config.snapshot_interval.is_some() && serve_config.snapshot_path.is_none() {
         return Err(CliError::new("--snapshot-secs requires --snapshot-path"));

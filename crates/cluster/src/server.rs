@@ -1,53 +1,43 @@
-//! The coordinator front-end: a std-only threaded TCP server speaking the
-//! ordinary `dar-serve` client protocol, so existing clients point at a
-//! coordinator unchanged.
+//! The coordinator's handler behind the shared [`dar_serve::Frontend`]:
+//! it speaks the ordinary `dar-serve` client protocol, so existing
+//! clients point at a coordinator unchanged.
 //!
-//! Same shape as `dar_serve::Server` — one acceptor behind a bounded
-//! `sync_channel`, a fixed worker pool, refuse-not-queue backpressure,
-//! graceful shutdown via an atomic flag plus a self-connection — but each
-//! request resolves against the [`Coordinator`] (under a mutex: the
-//! coordinator's own work per request is a round trip or two; the heavy
-//! lifting happens on the shards and inside the merged engine).
+//! The front end (acceptor, bounded queue, worker pool, timeouts,
+//! shutdown) is the one `dar serve` runs; this module is only the
+//! dispatch. Each request resolves against the [`Coordinator`] under a
+//! mutex: the coordinator's own work per request is a round trip or two;
+//! the heavy lifting happens on the shards and inside the merged engine.
+//! The handler records no `dar_serve_*` series, so a process hosting both
+//! a coordinator and its shards reports only the shards' traffic there.
 
 use crate::coordinator::Coordinator;
-use dar_serve::json::{self, Json};
+use dar_serve::json::Json;
 use dar_serve::protocol::{self, Request};
-use dar_serve::ServerError;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
+use dar_serve::{Frontend, Handler, Next, Reply, ServeConfig, ServerError};
+use std::io;
+use std::net::SocketAddr;
+use std::str::Utf8Error;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-struct ShutdownSignal {
-    flag: AtomicBool,
-    addr: SocketAddr,
-}
-
-impl ShutdownSignal {
-    fn is_set(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-
-    fn trigger(&self) {
-        if self.flag.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-    }
-}
-
-struct WorkerCtx {
+struct CoordinatorHandler {
     coordinator: Arc<Mutex<Coordinator>>,
-    shutdown: Arc<ShutdownSignal>,
-    requests: Arc<AtomicU64>,
-    errors: Arc<AtomicU64>,
-    read_timeout: Duration,
-    write_timeout: Duration,
+    requests: AtomicU64,
+    errors: AtomicU64,
     allow_remote_shutdown: bool,
     base_query: mining::RuleQuery,
+}
+
+impl Handler for CoordinatorHandler {
+    fn handle(&self, line: Result<&str, Utf8Error>) -> Reply {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        match Request::from_line(line, &self.base_query) {
+            Ok(request) => handle_request(request, self),
+            Err((code, message)) => {
+                Reply { response: error(self, code, &message), verb: "error", next: Next::Continue }
+            }
+        }
+    }
 }
 
 /// The coordinator front-end's entry point.
@@ -62,81 +52,38 @@ impl CoordinatorServer {
     /// # Errors
     /// Bind failures.
     pub fn start(coordinator: Coordinator, addr: &str) -> io::Result<CoordinatorHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let cfg = coordinator.config();
-        let threads = cfg.threads.max(1);
-        let queue_depth = cfg.queue_depth.max(1);
-        let read_timeout = cfg.read_timeout;
-        let write_timeout = cfg.write_timeout;
-        let allow_remote_shutdown = cfg.allow_remote_shutdown;
-        let metrics_addr = cfg.metrics_addr.clone();
-        let base_query = cfg.base_query.clone();
-        let coordinator = Arc::new(Mutex::new(coordinator));
-        let shutdown = Arc::new(ShutdownSignal { flag: AtomicBool::new(false), addr: local_addr });
-        let requests = Arc::new(AtomicU64::new(0));
-        let errors = Arc::new(AtomicU64::new(0));
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(threads);
-        for worker_id in 0..threads {
-            let rx = Arc::clone(&rx);
-            let ctx = WorkerCtx {
-                coordinator: Arc::clone(&coordinator),
-                shutdown: Arc::clone(&shutdown),
-                requests: Arc::clone(&requests),
-                errors: Arc::clone(&errors),
-                read_timeout,
-                write_timeout,
-                allow_remote_shutdown,
-                base_query: base_query.clone(),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dar-cluster-worker-{worker_id}"))
-                    .spawn(move || worker_loop(&rx, &ctx))?,
-            );
-        }
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new().name("dar-cluster-acceptor".into()).spawn(move || {
-                accept_loop(&listener, &tx, &shutdown, write_timeout);
-            })?
+        let front = ServeConfig {
+            threads: cfg.threads,
+            queue_depth: cfg.queue_depth,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+            metrics_addr: cfg.metrics_addr.clone(),
+            ..ServeConfig::default()
         };
-
-        let exposer = match &metrics_addr {
-            Some(addr) => Some(dar_obs::MetricsExposer::bind(addr.as_str())?),
-            None => None,
-        };
-
-        Ok(CoordinatorHandle {
-            addr: local_addr,
-            coordinator,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-            exposer,
-        })
+        let handler = Arc::new(CoordinatorHandler {
+            allow_remote_shutdown: cfg.allow_remote_shutdown,
+            base_query: cfg.base_query.clone(),
+            coordinator: Arc::new(Mutex::new(coordinator)),
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        });
+        let coordinator = Arc::clone(&handler.coordinator);
+        let frontend = Frontend::start("dar-cluster", addr, handler, &front)?;
+        Ok(CoordinatorHandle { frontend, coordinator })
     }
 }
 
 /// A handle to a running coordinator front-end.
 pub struct CoordinatorHandle {
-    addr: SocketAddr,
+    frontend: Frontend,
     coordinator: Arc<Mutex<Coordinator>>,
-    shutdown: Arc<ShutdownSignal>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    exposer: Option<dar_obs::MetricsExposer>,
 }
 
 impl CoordinatorHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
     /// The coordinator, for in-process driving alongside the server.
@@ -146,114 +93,26 @@ impl CoordinatorHandle {
 
     /// Triggers graceful shutdown (idempotent).
     pub fn shutdown(&self) {
-        self.shutdown.trigger();
+        self.frontend.shutdown();
     }
 
     /// Waits for every thread to exit. Call [`CoordinatorHandle::shutdown`]
     /// first — or let a wire `shutdown` arrive — or this blocks.
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(mut exposer) = self.exposer.take() {
-            exposer.shutdown();
-        }
+    pub fn join(self) {
+        self.frontend.join();
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &std::sync::mpsc::SyncSender<TcpStream>,
-    shutdown: &ShutdownSignal,
-    write_timeout: Duration,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutdown.is_set() {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shutdown.is_set() {
-            break;
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(stream)) => refuse(stream, write_timeout),
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn refuse(stream: TcpStream, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut writer = BufWriter::new(stream);
-    let line = protocol::error_response("overloaded", "accept queue is full, retry later").encode();
-    let _ = writeln!(writer, "{line}");
-    let _ = writer.flush();
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
-    loop {
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(poisoned) => poisoned.into_inner().recv(),
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = serve_connection(stream, ctx);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
-    stream.set_read_timeout(Some(ctx.read_timeout))?;
-    stream.set_write_timeout(Some(ctx.write_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown_after) = handle_line(&line, ctx);
-        writeln!(writer, "{}", response.encode())?;
-        writer.flush()?;
-        if shutdown_after {
-            ctx.shutdown.trigger();
-            break;
-        }
-    }
-    Ok(())
-}
-
-fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, bool) {
-    ctx.requests.fetch_add(1, Ordering::Relaxed);
-    let request = match json::parse(line) {
-        Ok(value) => match Request::from_json_with(&value, &ctx.base_query) {
-            Ok(request) => request,
-            Err(message) => return (error(ctx, "bad-request", &message), false),
-        },
-        Err(e) => return (error(ctx, "bad-json", &e.to_string()), false),
-    };
-    match request {
+fn handle_request(request: Request, ctx: &CoordinatorHandler) -> Reply {
+    let verb = request.verb();
+    let mut next = Next::Continue;
+    let response = match request {
         Request::Ingest { rows } => {
             let count = rows.len() as u64;
             let result = lock(&ctx.coordinator).ingest(&rows);
             match result {
-                Ok(total) => (protocol::ingest_response(count, total), false),
-                Err(e) => (shard_error(ctx, &e), false),
+                Ok(total) => protocol::ingest_response(count, total),
+                Err(e) => shard_error(ctx, &e),
             }
         }
         Request::Query { query } => {
@@ -281,30 +140,30 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, bool) {
                                     ));
                                 }
                             }
-                            Err(e) => return (shard_error(ctx, &e), false),
+                            Err(e) => return Reply { response: shard_error(ctx, &e), verb, next },
                         }
                     }
                     annotate(&mut response, &coverage);
-                    (response, false)
+                    response
                 }
-                Err(e) => (shard_error(ctx, &e), false),
+                Err(e) => shard_error(ctx, &e),
             }
         }
         Request::Clusters => match lock(&ctx.coordinator).clusters() {
             Ok((epoch, clusters, coverage)) => {
                 let mut response = protocol::clusters_response(epoch, &clusters);
                 annotate(&mut response, &coverage);
-                (response, false)
+                response
             }
-            Err(e) => (shard_error(ctx, &e), false),
+            Err(e) => shard_error(ctx, &e),
         },
         Request::Snapshot => match lock(&ctx.coordinator).snapshot() {
             Ok((_, epoch, tuples, coverage)) => {
                 let mut response = protocol::snapshot_response(epoch, tuples, None);
                 annotate(&mut response, &coverage);
-                (response, false)
+                response
             }
-            Err(e) => (shard_error(ctx, &e), false),
+            Err(e) => shard_error(ctx, &e),
         },
         Request::Stats => {
             let mut coordinator = lock(&ctx.coordinator);
@@ -328,7 +187,7 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, bool) {
                     ])
                 })
                 .collect();
-            let response = Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("verb", Json::Str("stats".into())),
                 (
@@ -344,8 +203,7 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, bool) {
                     ]),
                 ),
                 ("shards", Json::Arr(shard_items)),
-            ]);
-            (response, false)
+            ])
         }
         Request::Advance => match lock(&ctx.coordinator).advance() {
             Ok(responses) => {
@@ -358,39 +216,36 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, bool) {
                         response
                     })
                     .collect();
-                let response = Json::obj(vec![
+                Json::obj(vec![
                     ("ok", Json::Bool(true)),
                     ("verb", Json::Str("advance".into())),
                     ("shards", Json::Arr(shard_items)),
-                ]);
-                (response, false)
+                ])
             }
-            Err(e) => (shard_error(ctx, &e), false),
+            Err(e) => shard_error(ctx, &e),
         },
-        Request::Subscribe { .. } => (
-            error(
-                ctx,
-                "unsupported",
-                "subscriptions attach to shards directly; the coordinator serves merged queries",
-            ),
-            false,
+        Request::Subscribe { .. } => error(
+            ctx,
+            "unsupported",
+            "subscriptions attach to shards directly; the coordinator serves merged queries",
         ),
-        Request::Metrics => (protocol::metrics_response(), false),
+        Request::Metrics => protocol::metrics_response(),
         Request::Shutdown => {
             if ctx.allow_remote_shutdown {
-                (protocol::shutdown_response(), true)
+                next = Next::Shutdown;
+                protocol::shutdown_response()
             } else {
-                (error(ctx, "forbidden", "remote shutdown is disabled"), false)
+                error(ctx, "forbidden", "remote shutdown is disabled")
             }
         }
         Request::ShardIngest { .. }
         | Request::PullSnapshot
         | Request::ShardStats
-        | Request::ShardRescan { .. } => (
-            error(ctx, "bad-request", "shard verbs are spoken by shards; this is a coordinator"),
-            false,
-        ),
-    }
+        | Request::ShardRescan { .. } => {
+            error(ctx, "bad-request", "shard verbs are spoken by shards; this is a coordinator")
+        }
+    };
+    Reply { response, verb, next }
 }
 
 fn lock(coordinator: &Mutex<Coordinator>) -> std::sync::MutexGuard<'_, Coordinator> {
@@ -414,7 +269,7 @@ fn annotate(response: &mut Json, coverage: &crate::coordinator::Coverage) {
 /// Re-emits a shard's structured error verbatim (so a client sees the
 /// same `degraded`/`rejected` codes it would talking to the shard
 /// directly); wraps transport failures as `shard`.
-fn shard_error(ctx: &WorkerCtx, e: &io::Error) -> Json {
+fn shard_error(ctx: &CoordinatorHandler, e: &io::Error) -> Json {
     ctx.errors.fetch_add(1, Ordering::Relaxed);
     match ServerError::of(e) {
         Some(se) => protocol::error_response(&se.code, &se.message),
@@ -422,7 +277,7 @@ fn shard_error(ctx: &WorkerCtx, e: &io::Error) -> Json {
     }
 }
 
-fn error(ctx: &WorkerCtx, code: &str, message: &str) -> Json {
+fn error(ctx: &CoordinatorHandler, code: &str, message: &str) -> Json {
     ctx.errors.fetch_add(1, Ordering::Relaxed);
     protocol::error_response(code, message)
 }

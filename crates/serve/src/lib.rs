@@ -19,11 +19,14 @@
 //!   encoding makes equal rule sets byte-identical on the wire.
 //! * [`protocol`] — the verb vocabulary: `ingest`, `query`, `clusters`,
 //!   `stats`, `metrics`, `snapshot`, `shutdown`, with structured errors.
-//! * [`Server`] / [`ServerHandle`] — a std-only threaded TCP server:
-//!   fixed worker pool, bounded accept queue with refuse-not-queue
-//!   backpressure, per-connection timeouts, periodic snapshot-to-disk,
-//!   and graceful shutdown that drains, closes the epoch, and persists a
-//!   final snapshot.
+//! * [`Frontend`] — the std-only threaded TCP front end that `dar serve`
+//!   and the `dar-cluster` coordinator share: fixed worker pool, bounded
+//!   accept queue with refuse-not-queue backpressure, per-connection
+//!   timeouts, newline framing, and graceful shutdown that drains the
+//!   queue. Each server plugs in a [`Handler`].
+//! * [`Server`] / [`ServerHandle`] — the engine handler on that front
+//!   end, plus periodic snapshot-to-disk and a shutdown that closes the
+//!   epoch and persists a final snapshot.
 //! * [`ServerStats`] — connections, per-verb request counters, rejects,
 //!   histogram-derived p50/p99 latency; served over the wire by the
 //!   `stats` verb. The `metrics` verb returns the full `dar-obs`
@@ -58,6 +61,7 @@ pub mod b64;
 pub mod churn;
 pub mod client;
 mod durability;
+pub mod frontend;
 pub mod json;
 mod metrics;
 pub mod protocol;
@@ -67,6 +71,7 @@ mod stats;
 
 pub use client::{Backoff, Client, ServerError, Subscription};
 pub use durability::{recover_backend, recover_engine, Durability};
+pub use frontend::{Frontend, Handler, Next, Reply};
 pub use json::{Json, JsonError};
 pub use protocol::Request;
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};

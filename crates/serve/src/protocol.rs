@@ -89,7 +89,7 @@
 //! (insertion-ordered keys, shortest round-trip floats), so equal rule
 //! sets encode to equal bytes.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use dar_core::ClusterSummary;
 use dar_engine::{EngineStats, QueryOutcome};
 use mining::{DensitySpec, Measure, RuleQuery};
@@ -250,6 +250,41 @@ impl Request {
                 Ok(Request::ShardRescan { clusters, rules: rules? })
             }
             other => Err(format!("unknown verb {other:?}")),
+        }
+    }
+
+    /// Decodes one request line as a server's front end delivers it: a
+    /// line that is not UTF-8 or not JSON is `bad-json`, a JSON value that
+    /// is not a request is `bad-request`.
+    ///
+    /// # Errors
+    /// The structured error code and its message.
+    pub fn from_line(
+        line: Result<&str, std::str::Utf8Error>,
+        base: &RuleQuery,
+    ) -> Result<Request, (&'static str, String)> {
+        let line = line.map_err(|e| ("bad-json", format!("request line is not UTF-8: {e}")))?;
+        let value = json::parse(line).map_err(|e| ("bad-json", e.to_string()))?;
+        Request::from_json_with(&value, base).map_err(|message| ("bad-request", message))
+    }
+
+    /// The request's wire verb, also the label a server counts its
+    /// latency and traffic under.
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Request::Ingest { .. } => "ingest",
+            Request::Query { .. } => "query",
+            Request::Clusters => "clusters",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Snapshot => "snapshot",
+            Request::Shutdown => "shutdown",
+            Request::Advance => "advance",
+            Request::Subscribe { .. } => "subscribe",
+            Request::ShardIngest { .. } => "shard_ingest",
+            Request::PullSnapshot => "pull_snapshot",
+            Request::ShardStats => "shard_stats",
+            Request::ShardRescan { .. } => "shard_rescan",
         }
     }
 

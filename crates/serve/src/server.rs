@@ -1,41 +1,36 @@
-//! The multi-threaded TCP server: a fixed worker pool behind a bounded
-//! accept queue, serving the newline-delimited JSON protocol over a
-//! [`SharedEngine`].
+//! `dar serve`: the engine handler behind the shared [`Frontend`], serving
+//! the newline-delimited JSON protocol over a [`SharedEngine`].
 //!
-//! Concurrency model (`std::net` + `std::thread` only):
+//! The front end owns the sockets, the worker pool, backpressure and
+//! shutdown; this module owns what a request means:
 //!
-//! * one **acceptor** thread pushes accepted sockets into a bounded
-//!   `sync_channel`; when the queue is full the connection is *refused
-//!   with a structured error* rather than queued unboundedly
-//!   (backpressure, counted in
-//!   [`ServerStats::rejected_connections`](crate::ServerStats));
-//! * `threads` **workers** pop connections and serve requests line by
-//!   line under per-connection read/write timeouts — `query`/`stats`
-//!   answer under the engine's read lock (cached Phase II), `ingest`/
-//!   `snapshot` take the write lock;
+//! * `query`/`stats` answer under the engine's read lock (cached Phase
+//!   II), `ingest`/`snapshot` take the write lock, and every write that
+//!   changes the engine goes through one apply-then-log WAL commit;
+//! * `subscribe` takes the connection over and hands its writer to a
+//!   pusher thread fed by the churn feed;
+//! * per-instance accounting ([`ServerStats`](crate::ServerStats) and the
+//!   `dar_serve_*` series) happens in the handler's hooks;
 //! * an optional **snapshotter** thread persists the epoch to disk every
-//!   `snapshot_interval`;
-//! * **graceful shutdown** via a shutdown pipe (an atomic flag plus a
-//!   self-connection to unblock `accept`): triggered by
-//!   [`ServerHandle::shutdown`] or the wire verb `shutdown`, it stops
-//!   accepting, drains queued connections, joins every thread, closes the
-//!   epoch, and writes a final snapshot.
+//!   `snapshot_interval`, and [`ServerHandle::join`] closes the epoch and
+//!   writes a final snapshot once the front end has drained.
 
 use crate::churn::{ChurnFeed, SubscriptionRx};
 use crate::durability::{persist_snapshot, Durability};
-use crate::json::{self, Json};
+use crate::frontend::{Frontend, Handler, Next, Reply};
+use crate::json::Json;
 use crate::protocol::{self, Request};
 use crate::shared::SharedEngine;
 use crate::stats::{ServerStats, StatsSnapshot};
 use dar_durable::{DiskStorage, Storage};
-use dar_stream::{EngineBackend, WindowedIngest};
+use dar_stream::EngineBackend;
 use mining::RuleQuery;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::str::Utf8Error;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,49 +90,39 @@ impl Default for ServeConfig {
     }
 }
 
-/// The shutdown pipe: an atomic flag plus the listener's own address, so
-/// `trigger` can unblock the acceptor's blocking `accept` with a
-/// self-connection (the SIGINT-equivalent in a std-only server).
-struct ShutdownSignal {
-    flag: AtomicBool,
-    addr: SocketAddr,
-}
-
-impl ShutdownSignal {
-    fn is_set(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-
-    fn trigger(&self) {
-        if self.flag.swap(true, Ordering::SeqCst) {
-            return; // already shutting down
-        }
-        // Wake the acceptor out of accept(2).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-    }
-}
-
-/// Everything a worker needs to serve one connection.
-struct WorkerCtx {
+/// The engine handler: everything a worker needs to answer one request.
+struct EngineHandler {
     shared: Arc<SharedEngine>,
     stats: Arc<ServerStats>,
-    shutdown: Arc<ShutdownSignal>,
     durability: Option<Arc<Durability>>,
     churn: Arc<ChurnFeed>,
     config: ServeConfig,
 }
 
-/// What a request line asks the connection loop to do after the response.
-enum Action {
-    /// Keep serving this connection.
-    Continue,
-    /// Trigger server shutdown (the `shutdown` verb).
-    Shutdown,
-    /// Hand the connection to the churn feed as a long-lived subscriber.
-    Subscribe {
-        /// The resume point from the `subscribe` request.
-        from_epoch: Option<u64>,
-    },
+impl Handler for EngineHandler {
+    fn handle(&self, line: Result<&str, Utf8Error>) -> Reply {
+        match Request::from_line(line, &self.config.base_query) {
+            Ok(request) => handle_request(request, self),
+            Err((code, message)) => {
+                Reply { response: error(self, code, &message), verb: "error", next: Next::Continue }
+            }
+        }
+    }
+
+    fn accepted(&self) {
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::metrics().connections.inc();
+    }
+
+    fn refused(&self) {
+        self.stats.rejected_connections.fetch_add(1, Ordering::Relaxed);
+        crate::metrics::metrics().rejected_connections.inc();
+    }
+
+    fn served(&self, verb: &'static str, elapsed: Duration, bytes_read: u64, bytes_written: u64) {
+        self.stats.record_latency(verb, elapsed);
+        self.stats.record_io(verb, bytes_read, bytes_written);
+    }
 }
 
 /// The running server's entry point.
@@ -145,9 +130,9 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 for ephemeral) and
-    /// starts the acceptor, the worker pool, and (if configured) the
-    /// snapshotter. Returns immediately with a handle; the server runs on
-    /// background threads until [`ServerHandle::shutdown`] or a wire
+    /// starts the front end over the engine handler and (if configured)
+    /// the snapshotter. Returns immediately with a handle; the server runs
+    /// on background threads until [`ServerHandle::shutdown`] or a wire
     /// `shutdown` request.
     ///
     /// # Errors
@@ -163,12 +148,6 @@ impl Server {
         addr: &str,
         config: ServeConfig,
     ) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(SharedEngine::new(engine));
-        let stats = Arc::new(ServerStats::default());
-        let churn = Arc::new(ChurnFeed::new());
-        let shutdown = Arc::new(ShutdownSignal { flag: AtomicBool::new(false), addr: local_addr });
         let durability = if config.snapshot_path.is_some() || config.wal_path.is_some() {
             Some(Arc::new(Durability::open(
                 Arc::clone(&config.storage),
@@ -178,95 +157,49 @@ impl Server {
         } else {
             None
         };
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(config.threads.max(1));
-        for worker_id in 0..config.threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let ctx = WorkerCtx {
-                shared: Arc::clone(&shared),
-                stats: Arc::clone(&stats),
-                shutdown: Arc::clone(&shutdown),
-                durability: durability.clone(),
-                churn: Arc::clone(&churn),
-                config: config.clone(),
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dar-serve-worker-{worker_id}"))
-                    .spawn(move || worker_loop(&rx, &ctx))?,
-            );
-        }
-
-        let acceptor = {
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let write_timeout = config.write_timeout;
-            std::thread::Builder::new().name("dar-serve-acceptor".into()).spawn(move || {
-                accept_loop(&listener, &tx, &stats, &shutdown, write_timeout);
-                // Dropping `tx` here lets workers drain the queue and exit.
-            })?
-        };
-
-        let snapshotter = match (&durability, &config.snapshot_path, config.snapshot_interval) {
-            (Some(durability), Some(_), Some(interval)) => {
-                let shared = Arc::clone(&shared);
-                let stats = Arc::clone(&stats);
-                let shutdown = Arc::clone(&shutdown);
-                let durability = Arc::clone(durability);
-                Some(std::thread::Builder::new().name("dar-serve-snapshotter".into()).spawn(
-                    move || {
-                        let mut last = Instant::now();
-                        while !shutdown.is_set() {
-                            std::thread::sleep(Duration::from_millis(25));
-                            if last.elapsed() >= interval {
-                                let _ = persist_snapshot(&shared, &durability, &stats);
-                                last = Instant::now();
-                            }
-                        }
-                    },
-                )?)
-            }
-            _ => None,
-        };
-
-        let exposer = match &config.metrics_addr {
-            Some(metrics_addr) => Some(dar_obs::MetricsExposer::bind(metrics_addr.as_str())?),
-            None => None,
-        };
-
-        Ok(ServerHandle {
-            addr: local_addr,
-            shared,
-            stats,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-            snapshotter,
+        let handler = Arc::new(EngineHandler {
+            shared: Arc::new(SharedEngine::new(engine)),
+            stats: Arc::new(ServerStats::default()),
             durability,
-            churn,
-            snapshot_path: config.snapshot_path,
-            exposer,
-        })
+            churn: Arc::new(ChurnFeed::new()),
+            config,
+        });
+        let frontend = Frontend::start("dar-serve", addr, Arc::clone(&handler), &handler.config)?;
+
+        let config = &handler.config;
+        let snapshotter =
+            match (&handler.durability, &config.snapshot_path, config.snapshot_interval) {
+                (Some(durability), Some(_), Some(interval)) => {
+                    let shared = Arc::clone(&handler.shared);
+                    let stats = Arc::clone(&handler.stats);
+                    let durability = Arc::clone(durability);
+                    let shutdown = frontend.signal();
+                    Some(std::thread::Builder::new().name("dar-serve-snapshotter".into()).spawn(
+                        move || {
+                            let mut last = Instant::now();
+                            while !shutdown.is_set() {
+                                std::thread::sleep(Duration::from_millis(25));
+                                if last.elapsed() >= interval {
+                                    let _ = persist_snapshot(&shared, &durability, &stats);
+                                    last = Instant::now();
+                                }
+                            }
+                        },
+                    )?)
+                }
+                _ => None,
+            };
+
+        Ok(ServerHandle { frontend, handler, snapshotter })
     }
 }
 
 /// A handle to a running server: its address, shared state for
 /// inspection, and the shutdown/join lifecycle.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<SharedEngine>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<ShutdownSignal>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    frontend: Frontend,
+    handler: Arc<EngineHandler>,
     snapshotter: Option<JoinHandle<()>>,
-    durability: Option<Arc<Durability>>,
-    churn: Arc<ChurnFeed>,
-    snapshot_path: Option<PathBuf>,
-    exposer: Option<dar_obs::MetricsExposer>,
 }
 
 /// What a graceful shutdown left behind.
@@ -282,34 +215,34 @@ pub struct ServeSummary {
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
     /// The shared engine, for in-process inspection alongside the server.
     pub fn shared(&self) -> &Arc<SharedEngine> {
-        &self.shared
+        &self.handler.shared
     }
 
     /// A point-in-time copy of the server counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.handler.stats.snapshot()
     }
 
     /// This server's latency histogram — the exact population the `stats`
     /// verb derives p50/p99 from.
     pub fn latency_snapshot(&self) -> dar_obs::HistogramSnapshot {
-        self.stats.latency_snapshot()
+        self.handler.stats.latency_snapshot()
     }
 
     /// Where the Prometheus exposition listener is bound, if enabled.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.exposer.as_ref().map(dar_obs::MetricsExposer::addr)
+        self.frontend.metrics_addr()
     }
 
     /// Triggers graceful shutdown (idempotent): stop accepting, drain the
     /// queue, let in-flight connections finish.
     pub fn shutdown(&self) {
-        self.shutdown.trigger();
+        self.frontend.shutdown();
     }
 
     /// Waits for every thread to exit, closes the epoch, writes the final
@@ -320,135 +253,22 @@ impl ServerHandle {
     /// # Errors
     /// Propagates final-snapshot I/O failures (the threads are already
     /// down by then).
-    pub fn join(mut self) -> io::Result<ServeSummary> {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(snapshotter) = self.snapshotter.take() {
+    pub fn join(self) -> io::Result<ServeSummary> {
+        let ServerHandle { frontend, handler, snapshotter } = self;
+        frontend.join();
+        if let Some(snapshotter) = snapshotter {
             let _ = snapshotter.join();
         }
         // Disconnect every churn subscriber and join their threads.
-        self.churn.close();
-        if let Some(mut exposer) = self.exposer.take() {
-            exposer.shutdown();
-        }
-        if self.snapshot_path.is_some() {
-            if let Some(durability) = &self.durability {
-                persist_snapshot(&self.shared, durability, &self.stats)?;
+        handler.churn.close();
+        let snapshot_path = handler.config.snapshot_path.clone();
+        if snapshot_path.is_some() {
+            if let Some(durability) = &handler.durability {
+                persist_snapshot(&handler.shared, durability, &handler.stats)?;
             }
         }
-        Ok(ServeSummary { stats: self.stats.snapshot(), snapshot_path: self.snapshot_path })
+        Ok(ServeSummary { stats: handler.stats.snapshot(), snapshot_path })
     }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &std::sync::mpsc::SyncSender<TcpStream>,
-    stats: &ServerStats,
-    shutdown: &ShutdownSignal,
-    write_timeout: Duration,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutdown.is_set() {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shutdown.is_set() {
-            break; // the wake-up self-connection (or a late client)
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::metrics().connections.inc();
-            }
-            Err(TrySendError::Full(stream)) => {
-                stats.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::metrics().rejected_connections.inc();
-                refuse(stream, write_timeout);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-/// Backpressure: tell the refused client why, then hang up.
-fn refuse(stream: TcpStream, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut writer = BufWriter::new(stream);
-    let line = protocol::error_response("overloaded", "accept queue is full, retry later").encode();
-    let _ = writeln!(writer, "{line}");
-    let _ = writer.flush();
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &WorkerCtx) {
-    loop {
-        // Hold the lock only for the pop, never while serving.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(poisoned) => poisoned.into_inner().recv(),
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = serve_connection(stream, ctx);
-            }
-            Err(_) => break, // acceptor gone and queue drained
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, ctx: &WorkerCtx) -> io::Result<()> {
-    stream.set_read_timeout(Some(ctx.config.read_timeout))?;
-    stream.set_write_timeout(Some(ctx.config.write_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break, // timeout, reset, or EOF mid-line
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let (response, verb, action) = handle_line(&line, ctx);
-        if let Action::Subscribe { from_epoch } = action {
-            // The connection stops being request/response: register with
-            // the churn feed (handshake + catch-up under the feed's lock,
-            // so no event falls in between), then hand the socket to a
-            // dedicated pusher thread and free this worker.
-            let subscription = ctx.churn.subscribe(from_epoch);
-            let handshake =
-                protocol::subscribe_response(subscription.epoch, subscription.window_span).encode();
-            writeln!(writer, "{handshake}")?;
-            writer.flush()?;
-            ctx.stats.record_latency(verb, started.elapsed());
-            ctx.stats.record_io(verb, line.len() as u64 + 1, handshake.len() as u64 + 1);
-            let handle = std::thread::Builder::new()
-                .name("dar-serve-subscriber".into())
-                .spawn(move || subscriber_loop(writer, subscription))?;
-            ctx.churn.track(handle);
-            return Ok(());
-        }
-        let encoded = response.encode();
-        writeln!(writer, "{encoded}")?;
-        writer.flush()?;
-        ctx.stats.record_latency(verb, started.elapsed());
-        // +1 on each side for the newline framing the codec strips/adds.
-        ctx.stats.record_io(verb, line.len() as u64 + 1, encoded.len() as u64 + 1);
-        if matches!(action, Action::Shutdown) {
-            ctx.shutdown.trigger();
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// The long-lived half of a `subscribe` connection: pushes event lines as
@@ -476,67 +296,55 @@ fn subscriber_loop(mut writer: BufWriter<TcpStream>, subscription: SubscriptionR
     }
 }
 
-/// Dispatches one request line; returns the response, the verb label the
-/// request's latency is recorded under (`"error"` when it never resolved
-/// to a verb), and what the connection loop should do after the response
-/// is written.
-fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, &'static str, Action) {
-    let request = match json::parse(line) {
-        Ok(value) => match Request::from_json_with(&value, &ctx.config.base_query) {
-            Ok(request) => request,
-            Err(message) => {
-                return (error(ctx, "bad-request", &message), "error", Action::Continue)
-            }
-        },
-        Err(e) => return (error(ctx, "bad-json", &e.to_string()), "error", Action::Continue),
-    };
-    let verb = match &request {
-        Request::Ingest { .. } => "ingest",
-        Request::Query { .. } => "query",
-        Request::Clusters => "clusters",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Snapshot => "snapshot",
-        Request::Shutdown => "shutdown",
-        Request::Advance => "advance",
-        Request::Subscribe { .. } => "subscribe",
-        Request::ShardIngest { .. } => "shard_ingest",
-        Request::PullSnapshot => "pull_snapshot",
-        Request::ShardStats => "shard_stats",
-        Request::ShardRescan { .. } => "shard_rescan",
-    };
+/// Dispatches one decoded request; the reply carries the verb label its
+/// latency is recorded under and what the connection does next.
+fn handle_request(request: Request, ctx: &EngineHandler) -> Reply {
+    let verb = request.verb();
     let count = |counter: &std::sync::atomic::AtomicU64| {
         counter.fetch_add(1, Ordering::Relaxed);
     };
-    let (response, action) = match request {
+    let mut next = Next::Continue;
+    let response = match request {
         Request::Ingest { rows } => match commit_batch(ctx, &rows) {
-            Ok((total, _)) => {
+            Ok(total) => {
                 count(&ctx.stats.ingest_requests);
-                (protocol::ingest_response(rows.len() as u64, total), Action::Continue)
+                protocol::ingest_response(rows.len() as u64, total)
             }
-            Err(response) => (response, Action::Continue),
+            Err(response) => response,
         },
         Request::Advance => match advance_window(ctx) {
             Ok(response) => {
                 count(&ctx.stats.advance_requests);
-                (response, Action::Continue)
+                response
             }
-            Err(response) => (response, Action::Continue),
+            Err(response) => response,
         },
         Request::Subscribe { from_epoch } => {
             if ctx.shared.is_windowed() {
                 count(&ctx.stats.subscribe_requests);
-                // The handshake is written by the connection loop, under
-                // the feed's lock, so no event can slip in between.
-                (Json::Null, Action::Subscribe { from_epoch })
+                // The connection stops being request/response: register
+                // with the churn feed (handshake + catch-up under the
+                // feed's lock, so no event falls in between); once the
+                // front end has written the handshake, a dedicated pusher
+                // thread takes the socket over and frees the worker.
+                let subscription = ctx.churn.subscribe(from_epoch);
+                let handshake =
+                    protocol::subscribe_response(subscription.epoch, subscription.window_span);
+                let churn = Arc::clone(&ctx.churn);
+                let take_over = move |writer| {
+                    let handle = std::thread::Builder::new()
+                        .name("dar-serve-subscriber".into())
+                        .spawn(move || subscriber_loop(writer, subscription))?;
+                    churn.track(handle);
+                    Ok(())
+                };
+                next = Next::TakeOver(Box::new(take_over));
+                handshake
             } else {
-                (
-                    error(
-                        ctx,
-                        "unsupported",
-                        "subscriptions require a windowed server (--window-batches)",
-                    ),
-                    Action::Continue,
+                error(
+                    ctx,
+                    "unsupported",
+                    "subscriptions require a windowed server (--window-batches)",
                 )
             }
         }
@@ -549,20 +357,14 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, &'static str, Action) {
             if seq <= ctx.stats.shard_last_seq.load(Ordering::SeqCst) {
                 count(&ctx.stats.shard_dup_batches);
                 let total = ctx.shared.tuples();
-                (
-                    protocol::shard_ingest_response(seq, false, rows.len() as u64, total),
-                    Action::Continue,
-                )
+                protocol::shard_ingest_response(seq, false, rows.len() as u64, total)
             } else {
                 match commit_batch(ctx, &rows) {
-                    Ok((total, _)) => {
+                    Ok(total) => {
                         ctx.stats.shard_last_seq.fetch_max(seq, Ordering::SeqCst);
-                        (
-                            protocol::shard_ingest_response(seq, true, rows.len() as u64, total),
-                            Action::Continue,
-                        )
+                        protocol::shard_ingest_response(seq, true, rows.len() as u64, total)
                     }
-                    Err(response) => (response, Action::Continue),
+                    Err(response) => response,
                 }
             }
         }
@@ -573,57 +375,53 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, &'static str, Action) {
                     &bytes,
                     ctx.stats.shard_last_seq.load(Ordering::SeqCst),
                 );
-                (protocol::pull_snapshot_response(epoch, tuples, &sealed), Action::Continue)
+                protocol::pull_snapshot_response(epoch, tuples, &sealed)
             }
-            Err(e) => (error(ctx, "snapshot", &e.to_string()), Action::Continue),
+            Err(e) => error(ctx, "snapshot", &e.to_string()),
         },
         Request::ShardStats => {
             count(&ctx.stats.stats_requests);
             let (epoch, tuples, width) = ctx.shared.meta();
-            (
-                protocol::shard_stats_response(
-                    epoch,
-                    tuples,
-                    width,
-                    ctx.stats.is_degraded(),
-                    ctx.stats.shard_last_seq.load(Ordering::SeqCst),
-                ),
-                Action::Continue,
+            protocol::shard_stats_response(
+                epoch,
+                tuples,
+                width,
+                ctx.stats.is_degraded(),
+                ctx.stats.shard_last_seq.load(Ordering::SeqCst),
             )
         }
         Request::ShardRescan { clusters, rules } => match shard_rescan(ctx, &clusters, &rules) {
             Ok(response) => {
                 count(&ctx.stats.shard_rescan_requests);
-                (response, Action::Continue)
+                response
             }
-            Err((code, message)) => (error(ctx, code, &message), Action::Continue),
+            Err((code, message)) => error(ctx, code, &message),
         },
         Request::Query { query } => match ctx.shared.query(&query) {
             Ok(outcome) => {
                 count(&ctx.stats.query_requests);
-                (protocol::query_response(&outcome), Action::Continue)
+                protocol::query_response(&outcome)
             }
-            Err(e) => (error(ctx, "bad-query", &e.to_string()), Action::Continue),
+            Err(e) => error(ctx, "bad-query", &e.to_string()),
         },
         Request::Clusters => {
             count(&ctx.stats.clusters_requests);
             let (epoch, clusters) = ctx.shared.clusters();
-            (protocol::clusters_response(epoch, &clusters), Action::Continue)
+            protocol::clusters_response(epoch, &clusters)
         }
         Request::Metrics => {
             count(&ctx.stats.metrics_requests);
-            (protocol::metrics_response(), Action::Continue)
+            protocol::metrics_response()
         }
         Request::Stats => {
             count(&ctx.stats.stats_requests);
             let (engine_stats, read_hits) = ctx.shared.stats();
-            let response = Json::obj(vec![
+            Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("verb", Json::Str("stats".into())),
                 ("server", ctx.stats.snapshot().to_json()),
                 ("engine", protocol::engine_stats_json(&engine_stats, read_hits)),
-            ]);
-            (response, Action::Continue)
+            ])
         }
         Request::Snapshot => match (&ctx.durability, &ctx.config.snapshot_path) {
             (Some(durability), Some(path)) => {
@@ -631,41 +429,44 @@ fn handle_line(line: &str, ctx: &WorkerCtx) -> (Json, &'static str, Action) {
                     Ok((epoch, tuples)) => {
                         count(&ctx.stats.snapshot_requests);
                         let shown = path.display().to_string();
-                        (protocol::snapshot_response(epoch, tuples, Some(&shown)), Action::Continue)
+                        protocol::snapshot_response(epoch, tuples, Some(&shown))
                     }
-                    Err(e) => (error(ctx, "io", &e.to_string()), Action::Continue),
+                    Err(e) => error(ctx, "io", &e.to_string()),
                 }
             }
             _ => match ctx.shared.snapshot() {
                 Ok((_, epoch, tuples)) => {
                     count(&ctx.stats.snapshot_requests);
-                    (protocol::snapshot_response(epoch, tuples, None), Action::Continue)
+                    protocol::snapshot_response(epoch, tuples, None)
                 }
-                Err(e) => (error(ctx, "snapshot", &e.to_string()), Action::Continue),
+                Err(e) => error(ctx, "snapshot", &e.to_string()),
             },
         },
         Request::Shutdown => {
             if ctx.config.allow_remote_shutdown {
                 count(&ctx.stats.shutdown_requests);
-                (protocol::shutdown_response(), Action::Shutdown)
+                next = Next::Shutdown;
+                protocol::shutdown_response()
             } else {
-                (error(ctx, "forbidden", "remote shutdown is disabled"), Action::Continue)
+                error(ctx, "forbidden", "remote shutdown is disabled")
             }
         }
     };
-    (response, verb, action)
+    Reply { response, verb, next }
 }
 
-/// The shared writer-path commit protocol for `ingest` and
-/// `shard_ingest`: refuse in degraded mode, apply to the engine under
-/// store-before-engine lock order, append to the WAL, and acknowledge
-/// only after the append. A windowed backend's batches are logged as
-/// *tagged* frames carrying the window sequence they landed in, so
-/// recovery rebuilds the ring exactly; a batch that sealed a window also
-/// publishes rule churn to subscribers (after the store lock drops).
-/// Returns the engine's post-batch tuple total plus the window movement,
-/// or the structured error response to send instead.
-fn commit_batch(ctx: &WorkerCtx, rows: &[Vec<f64>]) -> Result<(u64, Option<WindowedIngest>), Json> {
+/// The durable write path every engine-changing verb goes through:
+/// refuse in degraded mode, take the store lock before the engine lock,
+/// `apply` to the engine, append the WAL frame `frame` names for the
+/// applied outcome — its window tag (if any) and rows — and acknowledge
+/// only after the append. A failed append degrades the server; `applied`
+/// names what is now in memory but not on the log.
+fn commit<'r, T>(
+    ctx: &EngineHandler,
+    applied: &str,
+    apply: impl FnOnce(&SharedEngine) -> Result<T, dar_core::CoreError>,
+    frame: impl FnOnce(&T) -> (Option<u64>, &'r [Vec<f64>]),
+) -> Result<T, Json> {
     if ctx.stats.is_degraded() {
         return Err(error(
             ctx,
@@ -679,16 +480,13 @@ fn commit_batch(ctx: &WorkerCtx, rows: &[Vec<f64>]) -> Result<(u64, Option<Windo
     // that was acknowledged.
     let mut store =
         ctx.durability.as_ref().filter(|_| ctx.config.wal_path.is_some()).map(|d| d.lock());
-    let (total, windowed) = match ctx.shared.ingest(rows) {
-        Ok(outcome) => outcome,
-        Err(e) => return Err(error(ctx, "rejected", &e.to_string())),
-    };
+    let outcome = apply(&ctx.shared).map_err(|e| error(ctx, "rejected", &e.to_string()))?;
     if let Some(store) = store.as_deref_mut() {
-        // Apply-then-log: acknowledge only once the batch is both
-        // in memory and on the log.
-        let logged = match &windowed {
-            Some(w) => store.log_tagged_batch(w.window_seq, rows),
-            None => store.log_batch(rows),
+        // Apply-then-log: acknowledge only once the change is both in
+        // memory and on the log.
+        let logged = match frame(&outcome) {
+            (Some(window_seq), rows) => store.log_tagged_batch(window_seq, rows),
+            (None, rows) => store.log_batch(rows),
         };
         if let Err(e) = logged {
             ctx.stats.wal_append_failures.fetch_add(1, Ordering::Relaxed);
@@ -697,25 +495,40 @@ fn commit_batch(ctx: &WorkerCtx, rows: &[Vec<f64>]) -> Result<(u64, Option<Windo
                 ctx,
                 "degraded",
                 &format!(
-                    "batch applied in memory but not committed to the \
+                    "{applied} in memory but not committed to the \
                      write-ahead log ({e}); entering read-only mode"
                 ),
             ));
         }
         ctx.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
     }
-    drop(store);
-    if windowed.as_ref().is_some_and(|w| w.advanced) {
+    Ok(outcome)
+}
+
+/// `ingest` and `shard_ingest`: commit one batch. A windowed backend's
+/// batches are logged as *tagged* frames carrying the window sequence they
+/// landed in, so recovery rebuilds the ring exactly; a batch that sealed a
+/// window also publishes rule churn to subscribers (after the store lock
+/// drops). Returns the engine's post-batch tuple total, or the structured
+/// error response to send instead.
+fn commit_batch(ctx: &EngineHandler, rows: &[Vec<f64>]) -> Result<u64, Json> {
+    let (total, windowed) = commit(
+        ctx,
+        "batch applied",
+        |shared| shared.ingest(rows),
+        |(_, windowed)| (windowed.as_ref().map(|w| w.window_seq), rows),
+    )?;
+    if windowed.is_some_and(|w| w.advanced) {
         publish_churn(ctx);
     }
-    Ok((total, windowed))
+    Ok(total)
 }
 
 /// The `advance` verb: seal the open window explicitly (windowed backend
 /// only), log an empty tagged frame as the advance marker so recovery
 /// replays the seal at the same point in the batch order, and publish the
 /// resulting rule churn.
-fn advance_window(ctx: &WorkerCtx) -> Result<Json, Json> {
+fn advance_window(ctx: &EngineHandler) -> Result<Json, Json> {
     if !ctx.shared.is_windowed() {
         return Err(error(
             ctx,
@@ -723,41 +536,11 @@ fn advance_window(ctx: &WorkerCtx) -> Result<Json, Json> {
             "advance requires a windowed server (--window-batches)",
         ));
     }
-    if ctx.stats.is_degraded() {
-        return Err(error(
-            ctx,
-            "degraded",
-            "write-ahead log unavailable; serving reads only — \
-             restart with healthy storage to resume ingest",
-        ));
-    }
-    // Same store-before-engine order as commit_batch: the advance marker
-    // must land in the log exactly where the seal happened.
-    let mut store =
-        ctx.durability.as_ref().filter(|_| ctx.config.wal_path.is_some()).map(|d| d.lock());
-    let outcome = match ctx.shared.advance() {
-        Ok(outcome) => outcome,
-        Err(e) => return Err(error(ctx, "rejected", &e.to_string())),
-    };
-    if let Some(store) = store.as_deref_mut() {
-        // An empty frame tagged with the freshly-opened window: replay
-        // fast-forwards `open_seq` past the sealed window and ingests
-        // nothing.
-        if let Err(e) = store.log_tagged_batch(outcome.opened_seq, &[]) {
-            ctx.stats.wal_append_failures.fetch_add(1, Ordering::Relaxed);
-            ctx.stats.set_degraded();
-            return Err(error(
-                ctx,
-                "degraded",
-                &format!(
-                    "window advanced in memory but not committed to the \
-                     write-ahead log ({e}); entering read-only mode"
-                ),
-            ));
-        }
-        ctx.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-    drop(store);
+    // The empty frame is tagged with the freshly-opened window: replay
+    // fast-forwards `open_seq` past the sealed window and ingests nothing.
+    let outcome = commit(ctx, "window advanced", SharedEngine::advance, |outcome| {
+        (Some(outcome.opened_seq), &[])
+    })?;
     publish_churn(ctx);
     let span = ctx.shared.window_span().unwrap_or((0, outcome.opened_seq));
     Ok(protocol::advance_response(
@@ -775,7 +558,7 @@ fn advance_window(ctx: &WorkerCtx) -> Result<Json, Json> {
 /// consumers can filter on quality without re-querying. Called after a
 /// window seal, with no locks held — the query takes the engine lock,
 /// the feed its own.
-fn publish_churn(ctx: &WorkerCtx) {
+fn publish_churn(ctx: &EngineHandler) {
     let Ok(outcome) = ctx.shared.query(&ctx.config.base_query) else {
         return; // a failed base query leaves subscribers at the old epoch
     };
@@ -795,7 +578,7 @@ fn publish_churn(ctx: &WorkerCtx) {
 /// coordinator detect a shard whose WAL no longer covers its whole
 /// history (e.g. pruned by a snapshot install).
 fn shard_rescan(
-    ctx: &WorkerCtx,
+    ctx: &EngineHandler,
     clusters: &str,
     rules: &[Vec<usize>],
 ) -> Result<Json, (&'static str, String)> {
@@ -854,7 +637,7 @@ fn shard_rescan(
     Ok(protocol::shard_rescan_response(relation.len() as u64, &counts))
 }
 
-fn error(ctx: &WorkerCtx, code: &str, message: &str) -> Json {
+fn error(ctx: &EngineHandler, code: &str, message: &str) -> Json {
     ctx.stats.error_responses.fetch_add(1, Ordering::Relaxed);
     crate::metrics::metrics().errors.inc();
     protocol::error_response(code, message)
