@@ -403,9 +403,10 @@ impl DarEngine {
     /// path. Rule generation from cached artifacts is pure (Theorem 6.1:
     /// a function of the ACF summaries alone), so any number of threads
     /// holding shared references — e.g. through an `RwLock` read guard —
-    /// can run this concurrently. Engine counters are *not* touched (they
-    /// need `&mut`); callers that care keep their own hit counter, as
-    /// `dar-serve`'s `SharedEngine` does.
+    /// can run this concurrently. A hit increments the atomic
+    /// `dar_engine_cache_hits_total` counter like the `&mut` path does, but
+    /// not [`DarEngine::stats`] (that needs `&mut`); callers that want a
+    /// read-path tally keep their own, as `dar-serve`'s `SharedEngine` does.
     ///
     /// # Errors
     /// Propagates arity errors from explicit density thresholds.
@@ -419,6 +420,7 @@ impl DarEngine {
         let Some(artifacts) = state.cache.get(&key) else {
             return Ok(None);
         };
+        crate::metrics::metrics().cache_hits.inc();
         let (answer, coverage) = ranked_for(
             state,
             artifacts,

@@ -47,4 +47,5 @@ pub use pipeline::{DarConfig, DarMiner, MineResult, MineStats};
 pub use query::{DensitySpec, Measure, Phase2Artifacts, RuleQuery, MEASURES};
 pub use rules::{
     consequent_subsets, generate_dars_capped_pooled, pair_candidates, sort_rules, Dar, RuleConfig,
+    RuleSet,
 };

@@ -20,8 +20,7 @@
 
 use crate::metrics::metrics;
 use mining::{consequent_subsets, pair_candidates, sort_rules, ClusterDistance, Dar};
-use mining::{Phase2Artifacts, RuleQuery};
-use std::collections::BTreeSet;
+use mining::{Phase2Artifacts, RuleQuery, RuleSet};
 use std::time::{Duration, Instant};
 
 /// The result of one budgeted mining pass.
@@ -62,17 +61,12 @@ pub fn mine_budgeted(
 
     let stride = coprime_stride(total);
     let start = Instant::now();
-    let mut seen: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
-    let mut rules: Vec<Dar> = Vec::new();
+    let mut sampled = RuleSet::new();
     let mut idx = 0usize;
     let mut processed = 0usize;
     for _ in 0..total {
         let (q2, q1) = (idx / len, idx % len);
-        for dar in pair_candidates(&artifacts.graph, &cliques[q1], &consequents[q2], &config) {
-            if seen.insert((dar.antecedent.clone(), dar.consequent.clone())) {
-                rules.push(dar);
-            }
-        }
+        pair_candidates(&artifacts.graph, &cliques[q1], &consequents[q2], &config, &mut sampled);
         processed += 1;
         idx = (idx + stride) % total;
         if processed < total && start.elapsed() >= budget {
@@ -81,6 +75,7 @@ pub fn mine_budgeted(
     }
     m.anytime_pairs.add(processed as u64);
 
+    let mut rules = sampled.into_rules();
     sort_rules(&mut rules);
     let mut truncated = processed < total;
     if query.max_rules != 0 && rules.len() > query.max_rules {

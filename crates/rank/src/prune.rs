@@ -15,7 +15,7 @@
 
 use dar_core::{BoundingBox, ClusterSummary};
 use mining::Dar;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// The rules a pruning pass kept, plus its bookkeeping.
 #[derive(Debug)]
@@ -29,21 +29,17 @@ pub struct PruneOutcome {
     pub clusters: usize,
 }
 
-/// Attribute-set signature of one rule side, members ordered by set.
-/// Clique adjacency guarantees the member sets are pairwise distinct, so
-/// the ordering is total.
-fn signature(members: &[usize], clusters: &[ClusterSummary]) -> Vec<usize> {
-    let mut sets: Vec<usize> = members.iter().map(|&i| clusters[i].set).collect();
-    sets.sort_unstable();
-    sets
-}
-
-/// Member cluster indices ordered by their attribute set, aligning the
-/// two rules of one signature member-by-member.
-fn by_set(members: &[usize], clusters: &[ClusterSummary]) -> Vec<usize> {
-    let mut ordered = members.to_vec();
-    ordered.sort_unstable_by_key(|&i| clusters[i].set);
-    ordered
+/// One representative: where its set-ordered members sit in the flat
+/// member buffer, and the next representative of its signature.
+struct Rep {
+    /// Input index of the rule.
+    rule: usize,
+    /// Start of its members (antecedent then consequent, each ordered by
+    /// attribute set) in the member buffer.
+    start: usize,
+    /// Position in `reps` of the next representative with the same
+    /// signature, or `usize::MAX`.
+    next: usize,
 }
 
 /// Whether two bounding boxes overlap in every dimension.
@@ -52,44 +48,104 @@ fn overlaps(a: &BoundingBox, b: &BoundingBox) -> bool {
     ia.len() == ib.len() && ia.iter().zip(ib).all(|(x, y)| x.lo <= y.hi && y.lo <= x.hi)
 }
 
-/// Whether two same-signature rules are redundant: corresponding members
-/// (matched by attribute set) have overlapping bounding boxes on both
-/// sides.
-fn redundant(a: &Dar, b: &Dar, clusters: &[ClusterSummary]) -> bool {
-    let side = |xs: &[usize], ys: &[usize]| {
-        by_set(xs, clusters)
-            .iter()
-            .zip(by_set(ys, clusters))
-            .all(|(&x, y)| overlaps(clusters[x].bbox(), clusters[y].bbox()))
-    };
-    side(&a.antecedent, &b.antecedent) && side(&a.consequent, &b.consequent)
+/// Whether two same-signature rules are redundant: their set-ordered
+/// members (antecedent then consequent) have pairwise-overlapping
+/// bounding boxes.
+fn redundant(a: &[usize], b: &[usize], clusters: &[ClusterSummary]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| overlaps(clusters[x].bbox(), clusters[y].bbox()))
+}
+
+/// Appends `members` to `buf` ordered by attribute set, and their sets to
+/// `sig`. Clique adjacency guarantees the member sets of one rule side
+/// are pairwise distinct, so the ordering is total.
+fn push_side(
+    members: &[usize],
+    clusters: &[ClusterSummary],
+    buf: &mut Vec<usize>,
+    sig: &mut Vec<usize>,
+) {
+    let start = buf.len();
+    buf.extend_from_slice(members);
+    buf[start..].sort_unstable_by_key(|&i| clusters[i].set);
+    sig.extend(buf[start..].iter().map(|&i| clusters[i].set));
 }
 
 /// Greedy redundancy pruning over a ranked rule list: a rule that is
 /// redundant with an earlier (better-ranked) representative is dropped,
 /// otherwise it becomes a representative itself.
-pub fn prune(rules: &[Dar], clusters: &[ClusterSummary]) -> PruneOutcome {
-    // Representative indices per signature; signatures partition the
-    // rules, so only same-signature pairs are ever compared.
-    let mut reps: BTreeMap<(Vec<usize>, Vec<usize>), Vec<usize>> = BTreeMap::new();
-    let mut kept = Vec::with_capacity(rules.len());
-    let mut absorbed: BTreeMap<usize, usize> = BTreeMap::new();
+///
+/// Two rules are redundant when they share an attribute-set signature
+/// (the sorted sets of each side) and their members, matched by set, have
+/// pairwise-overlapping bounding boxes on both sides. Each rule's
+/// set-ordered members and signature are computed once into reused
+/// buffers; one signature lookup (by slice, allocating only for a
+/// signature not seen before) finds the chain of that signature's
+/// representatives, which is scanned in place in the order they were
+/// kept. A representative's members stay in one flat buffer; a pruned
+/// rule's are discarded.
+pub fn prune<'a>(
+    rules: impl IntoIterator<Item = &'a Dar>,
+    clusters: &[ClusterSummary],
+) -> PruneOutcome {
+    // Signature → (first, last) representative positions in `reps`;
+    // signatures partition the rules, so only same-signature pairs are
+    // ever compared.
+    let mut groups: HashMap<Box<[usize]>, (usize, usize)> = HashMap::new();
+    let mut reps: Vec<Rep> = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
+    let mut sig: Vec<usize> = Vec::new();
+    let mut kept = Vec::new();
+    let mut absorbed: Vec<u64> = Vec::new();
     let mut pruned = 0;
-    for (i, rule) in rules.iter().enumerate() {
-        let sig = (signature(&rule.antecedent, clusters), signature(&rule.consequent, clusters));
-        let group = reps.entry(sig).or_default();
-        match group.iter().find(|&&rep| redundant(&rules[rep], rule, clusters)) {
-            Some(&rep) => {
-                pruned += 1;
-                *absorbed.entry(rep).or_default() += 1;
+    for (i, rule) in rules.into_iter().enumerate() {
+        // The rule's members go at the end of the buffer; they stay only
+        // if it becomes a representative.
+        let start = members.len();
+        sig.clear();
+        push_side(&rule.antecedent, clusters, &mut members, &mut sig);
+        sig.push(usize::MAX);
+        push_side(&rule.consequent, clusters, &mut members, &mut sig);
+        let len = members.len() - start;
+
+        let mut absorber = None;
+        match groups.get_mut(sig.as_slice()) {
+            Some((first, last)) => {
+                let mut r = *first;
+                while r != usize::MAX {
+                    let rep = &reps[r];
+                    if redundant(&members[rep.start..rep.start + len], &members[start..], clusters)
+                    {
+                        absorber = Some(rep.rule);
+                        break;
+                    }
+                    r = rep.next;
+                }
+                if absorber.is_none() {
+                    reps[*last].next = reps.len();
+                    *last = reps.len();
+                }
             }
             None => {
-                group.push(i);
+                groups.insert(sig.as_slice().into(), (reps.len(), reps.len()));
+            }
+        }
+        match absorber {
+            Some(rep) => {
+                members.truncate(start);
+                pruned += 1;
+                if absorbed.len() <= rep / 64 {
+                    absorbed.resize(rep / 64 + 1, 0);
+                }
+                absorbed[rep / 64] |= 1 << (rep % 64);
+            }
+            None => {
+                reps.push(Rep { rule: i, start, next: usize::MAX });
                 kept.push(i);
             }
         }
     }
-    PruneOutcome { kept, pruned, clusters: absorbed.len() }
+    let clusters = absorbed.iter().map(|w| w.count_ones() as usize).sum();
+    PruneOutcome { kept, pruned, clusters }
 }
 
 #[cfg(test)]

@@ -108,19 +108,17 @@ pub fn rank(rules: Vec<Dar>, spec: &RankSpec) -> Ranked {
 
     let (mut pruned, mut prune_clusters) = (0, 0);
     if spec.prune_redundant {
-        let rules_only: Vec<Dar> = scored.iter().map(|(r, _)| r.clone()).collect();
-        let outcome = prune::prune(&rules_only, spec.clusters);
+        let outcome = prune::prune(scored.iter().map(|(rule, _)| rule), spec.clusters);
         pruned = outcome.pruned;
         prune_clusters = outcome.clusters;
         m.pruned_rules.add(pruned as u64);
         m.prune_clusters.add(prune_clusters as u64);
-        let keep: std::collections::BTreeSet<usize> = outcome.kept.into_iter().collect();
-        let mut i = 0;
-        scored.retain(|_| {
-            let k = keep.contains(&i);
-            i += 1;
-            k
-        });
+        let mut keep = vec![false; scored.len()];
+        for i in outcome.kept {
+            keep[i] = true;
+        }
+        let mut keep = keep.into_iter();
+        scored.retain(|_| keep.next() == Some(true));
     }
 
     if spec.top_k != 0 && scored.len() > spec.top_k {

@@ -118,6 +118,9 @@ impl Client {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved empty"))?;
         let stream = TcpStream::connect_timeout(&addr, timeout.max(Duration::from_millis(1)))?;
+        // Requests are single small writes; do not let Nagle's algorithm
+        // hold one back waiting for the server's delayed ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let reader = BufReader::new(stream.try_clone()?);
@@ -661,6 +664,15 @@ fn decode_shard_ingest(response: &Json) -> (bool, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn client_sockets_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client =
+            Client::connect(listener.local_addr().unwrap(), Duration::from_secs(10)).unwrap();
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        assert!(client.writer.get_ref().nodelay().unwrap());
+    }
 
     #[test]
     fn server_errors_survive_the_io_error_wrapper() {

@@ -258,6 +258,9 @@ fn serve_connection(
     shutdown: &ShutdownSignal,
     (read_timeout, write_timeout): (Duration, Duration),
 ) -> io::Result<()> {
+    // Each response is one small write the client waits on; Nagle's
+    // algorithm would hold it back for the peer's delayed ACK.
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(read_timeout))?;
     stream.set_write_timeout(Some(write_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -421,6 +424,28 @@ mod tests {
             reader.read_to_string(&mut out).unwrap();
             assert_eq!(out, format!("\"queued {i}\"\n"));
         }
+    }
+
+    #[test]
+    fn served_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let server_end = accepted.try_clone().unwrap();
+        assert!(!server_end.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        let shutdown = ShutdownSignal { flag: AtomicBool::new(false), addr };
+        let timeouts = (Duration::from_secs(10), Duration::from_secs(10));
+        std::thread::scope(|s| {
+            let worker =
+                s.spawn(|| serve_connection(accepted, &Echo::default(), &shutdown, timeouts));
+            client.write_all(b"hi\n").unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            assert_eq!(read_line(&mut reader), "\"hi\"\n");
+            assert!(server_end.nodelay().unwrap());
+            client.shutdown(Shutdown::Write).unwrap();
+            worker.join().unwrap().unwrap();
+        });
     }
 
     #[test]
