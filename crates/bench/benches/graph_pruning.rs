@@ -32,7 +32,7 @@ fn synthetic_clusters(n: usize, poor_frac: f64, seed: u64) -> Vec<ClusterSummary
                         }
                     })
                     .collect();
-                acf.add_row(&projections);
+                acf.add_row(&projections.concat());
             }
             ClusterSummary { id: ClusterId(i as u32), set, acf }
         })

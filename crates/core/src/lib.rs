@@ -21,7 +21,9 @@
 //!   a CF on the clustering attributes extended with `(ΣY, ΣY²)` for every
 //!   other attribute set, so that every distance in Section 5 of the paper can
 //!   be evaluated on cluster *images* without rescanning the data
-//!   (Theorem 6.1, the "ACF Representativity Theorem");
+//!   (Theorem 6.1, the "ACF Representativity Theorem"). Each ACF keeps all
+//!   its moments and its bounding box in one contiguous slab; images are
+//!   borrowed [`CfRef`](cf::CfRef) views into it;
 //! * exact (tuple-level) counterparts of those statistics in [`exact`], used
 //!   to validate the summary algebra and to state the paper's Theorems 5.1
 //!   and 5.2 precisely.
@@ -43,8 +45,8 @@ pub mod standardize;
 pub mod stats;
 
 pub use acf::{Acf, AcfLayout};
-pub use bbox::BoundingBox;
-pub use cf::Cf;
+pub use bbox::BoxRef;
+pub use cf::{Cf, CfRef};
 pub use cluster::{ClusterId, ClusterSummary};
 pub use distance::Metric;
 pub use error::CoreError;

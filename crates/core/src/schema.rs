@@ -191,6 +191,13 @@ impl Partitioning {
         self.sets.iter().map(AttrSet::dims).sum()
     }
 
+    /// Every mined attribute in flat-row order: set 0's attributes, then
+    /// set 1's, and so on. Projecting a tuple onto these gives the flat row
+    /// an [`Acf`](crate::Acf) absorbs.
+    pub fn row_attrs(&self) -> Vec<AttrId> {
+        self.sets.iter().flat_map(|s| s.attrs.iter().copied()).collect()
+    }
+
     /// The set containing attribute `attr`, if any.
     pub fn set_of_attr(&self, attr: AttrId) -> Option<SetId> {
         self.sets.iter().position(|s| s.attrs.contains(&attr))

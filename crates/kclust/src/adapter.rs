@@ -19,13 +19,11 @@ pub fn assignments_to_summaries(
 ) -> Vec<ClusterSummary> {
     let layout = AcfLayout::from_partitioning(partitioning);
     let mut acfs: Vec<Acf> = (0..k).map(|_| Acf::empty(&layout, set)).collect();
-    let mut projections: Vec<Vec<f64>> =
-        partitioning.sets().iter().map(|s| Vec::with_capacity(s.dims())).collect();
+    let row_attrs = partitioning.row_attrs();
+    let mut flat = Vec::with_capacity(row_attrs.len());
     for (row, &a) in assignments.iter().enumerate() {
-        for (s, buf) in projections.iter_mut().enumerate() {
-            relation.project_into(row, &partitioning.set(s).attrs, buf);
-        }
-        acfs[a].add_row(&projections);
+        relation.project_into(row, &row_attrs, &mut flat);
+        acfs[a].add_row(&flat);
     }
     acfs.into_iter()
         .filter(|acf| !acf.is_empty())

@@ -20,6 +20,10 @@
 //! terminator 0x0A
 //! ```
 //!
+//! The per-set moments are the [`Acf`] moment slab byte for byte, so a
+//! record encodes and decodes as two straight copies (box, moments) with
+//! no per-image allocation.
+//!
 //! The per-record length prefix lets the reader scan record spans without
 //! decoding, so encode *and* decode fan records across the `dar-par` pool
 //! in input order — output is byte-identical at any worker count. The
@@ -39,7 +43,7 @@
 //! (one image line per set, then the next cluster)
 //! ```
 
-use dar_core::{Acf, BoundingBox, Cf, ClusterId, ClusterSummary, CoreError, Interval};
+use dar_core::{Acf, AcfLayout, ClusterId, ClusterSummary, CoreError};
 use std::fmt::Write as _;
 
 /// The first four bytes of every v2 binary cluster body.
@@ -116,6 +120,28 @@ pub fn read_clusters_at(text: &str, first_line: usize) -> Result<Vec<ClusterSumm
             v.parse().map_err(|_| CoreError::LayoutMismatch(format!("bad sets= field {v:?}")))
         })
         .map_err(|e| located(0, e))?;
+    let dims: Vec<usize> = field(header, "dims=")
+        .and_then(|v| {
+            v.split(',')
+                .filter(|t| !t.is_empty())
+                .map(|t| {
+                    t.parse()
+                        .map_err(|_| CoreError::LayoutMismatch(format!("bad dims= entry {t:?}")))
+                })
+                .collect()
+        })
+        .map_err(|e| located(0, e))?;
+    if dims.len() != num_sets {
+        return Err(CoreError::LayoutMismatch(format!(
+            "line {}: dims= lists {} sets but sets={num_sets}",
+            at(0),
+            dims.len()
+        )));
+    }
+    if dims.iter().try_fold(0usize, |total, &d| total.checked_add(d)).is_none() {
+        return Err(CoreError::LayoutMismatch(format!("line {}: dims= overflows", at(0))));
+    }
+    let layout = AcfLayout::new(dims);
 
     let mut out = Vec::new();
     while let Some((i, line)) = lines.next() {
@@ -150,11 +176,7 @@ pub fn read_clusters_at(text: &str, first_line: usize) -> Result<Vec<ClusterSumm
                 })
             })
             .collect::<Result<_, _>>()?;
-        let intervals: Vec<Interval> =
-            nums.chunks(2).map(|c| Interval { lo: c[0], hi: c[1] }).collect();
-        let bbox = BoundingBox::from_intervals(intervals);
-
-        let mut images = Vec::with_capacity(num_sets);
+        let mut slab = Vec::new();
         for expect in 0..num_sets {
             let (ii, img) = lines.next().ok_or_else(|| {
                 CoreError::LayoutMismatch(format!("line {}: missing image line", at(bi + 1)))
@@ -177,9 +199,20 @@ pub fn read_clusters_at(text: &str, first_line: usize) -> Result<Vec<ClusterSumm
             }
             let ls = field(rest, "ls=").and_then(parse_floats).map_err(|e| located(ii, e))?;
             let ss = field(rest, "ss=").and_then(parse_floats).map_err(|e| located(ii, e))?;
-            images.push(Cf::from_moments(n, ls, ss)?);
+            let d = layout.dims_of(s);
+            if ls.len() != d || ss.len() != d {
+                return Err(CoreError::LayoutMismatch(format!(
+                    "line {}: image {s} has {} LS and {} SS values, the header says {d} dims",
+                    at(ii),
+                    ls.len(),
+                    ss.len()
+                )));
+            }
+            slab.extend(ls);
+            slab.extend(ss);
         }
-        let acf = Acf::from_parts(set, images, bbox)?;
+        slab.extend(nums);
+        let acf = Acf::from_slab(&layout, set, n, slab).map_err(|e| located(i, e))?;
         out.push(ClusterSummary { id: ClusterId(id), set, acf });
     }
     Ok(out)
@@ -193,13 +226,8 @@ pub fn encode_clusters(
     clusters: &[ClusterSummary],
     pool: &dar_par::ThreadPool,
 ) -> Result<Vec<u8>, CoreError> {
-    let (num_sets, dims) = match clusters.first() {
-        Some(first) => {
-            let k = first.acf.num_sets();
-            (k, (0..k).map(|s| first.acf.image(s).dims()).collect::<Vec<usize>>())
-        }
-        None => (0, Vec::new()),
-    };
+    let dims: Vec<usize> = clusters.first().map_or(Vec::new(), |c| c.acf.layout().dims().collect());
+    let num_sets = dims.len();
     for c in clusters {
         if c.acf.num_sets() != num_sets {
             return Err(CoreError::LayoutMismatch(format!(
@@ -208,12 +236,11 @@ pub fn encode_clusters(
                 c.acf.num_sets()
             )));
         }
-        for (s, &d) in dims.iter().enumerate() {
-            if c.acf.image(s).dims() != d {
+        for (s, (have, want)) in c.acf.layout().dims().zip(&dims).enumerate() {
+            if have != *want {
                 return Err(CoreError::LayoutMismatch(format!(
-                    "cluster {} set {s} has {} dims, expected {d}",
-                    c.id,
-                    c.acf.image(s).dims()
+                    "cluster {} set {s} has {have} dims, expected {want}",
+                    c.id
                 )));
             }
         }
@@ -240,28 +267,21 @@ pub fn encode_clusters(
 }
 
 fn encode_record(c: &ClusterSummary) -> Vec<u8> {
-    let bbox = c.bbox().intervals();
-    let num_sets = c.acf.num_sets();
-    let moments: usize = (0..num_sets).map(|s| 16 * c.acf.image(s).dims()).sum();
-    let len = 20 + 16 * bbox.len() + moments;
+    let bbox = c.bbox();
+    let moments = c.acf.moments();
+    let len = 20 + 16 * bbox.dims() + 8 * moments.len();
     let mut rec = Vec::with_capacity(4 + len);
     rec.extend_from_slice(&(len as u32).to_le_bytes());
     rec.extend_from_slice(&c.id.0.to_le_bytes());
     rec.extend_from_slice(&(c.set as u32).to_le_bytes());
     rec.extend_from_slice(&c.support().to_le_bytes());
-    rec.extend_from_slice(&(bbox.len() as u32).to_le_bytes());
-    for iv in bbox {
+    rec.extend_from_slice(&(bbox.dims() as u32).to_le_bytes());
+    for iv in bbox.intervals() {
         rec.extend_from_slice(&iv.lo.to_le_bytes());
         rec.extend_from_slice(&iv.hi.to_le_bytes());
     }
-    for s in 0..num_sets {
-        let cf = c.acf.image(s);
-        for v in cf.linear_sum() {
-            rec.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in cf.square_sum() {
-            rec.extend_from_slice(&v.to_le_bytes());
-        }
+    for v in moments {
+        rec.extend_from_slice(&v.to_le_bytes());
     }
     debug_assert_eq!(rec.len(), 4 + len);
     rec
@@ -303,6 +323,7 @@ pub fn decode_clusters(
     for s in 0..num_sets {
         dims.push(cur.u32(&format!("dims[{s}]"))? as usize);
     }
+    let layout = AcfLayout::new(dims);
     let count = cur.u64("count")? as usize;
     // Sanity before allocating: every record needs at least its 4-byte
     // length prefix, so a count the remaining bytes cannot hold is
@@ -341,7 +362,7 @@ pub fn decode_clusters(
     }
     pool.map_indexed("persist_decode", count, RECORD_CHUNK, |i| {
         let (start, len) = spans[i];
-        decode_record(&bytes[start..start + len], i, start, num_sets, &dims)
+        decode_record(&bytes[start..start + len], i, start, &layout)
     })
     .into_iter()
     .collect()
@@ -351,10 +372,9 @@ fn decode_record(
     record: &[u8],
     index: usize,
     offset: usize,
-    num_sets: usize,
-    dims: &[usize],
+    layout: &AcfLayout,
 ) -> Result<ClusterSummary, CoreError> {
-    decode_record_inner(record, num_sets, dims).map_err(|e| match e {
+    decode_record_inner(record, layout).map_err(|e| match e {
         CoreError::LayoutMismatch(msg) => {
             CoreError::LayoutMismatch(format!("record {index} at byte {offset}: {msg}"))
         }
@@ -362,19 +382,15 @@ fn decode_record(
     })
 }
 
-fn decode_record_inner(
-    record: &[u8],
-    num_sets: usize,
-    dims: &[usize],
-) -> Result<ClusterSummary, CoreError> {
+fn decode_record_inner(record: &[u8], layout: &AcfLayout) -> Result<ClusterSummary, CoreError> {
     let mut cur = Cursor { bytes: record, pos: 0 };
     let id = cur.u32("id")?;
     let set = cur.u32("set")? as usize;
     let n = cur.u64("n")?;
     let bbox_n = cur.u32("bbox count")? as usize;
-    // One length check pins the whole remaining layout; the f64 reads
+    // One length check pins the whole remaining layout; the slab copies
     // below cannot run out of bytes after it.
-    let moments: usize = 16 * dims.iter().sum::<usize>();
+    let moments: usize = 16 * layout.total_dims();
     let expect = 20 + 16 * bbox_n + moments;
     if record.len() != expect {
         return Err(CoreError::LayoutMismatch(format!(
@@ -383,26 +399,14 @@ fn decode_record_inner(
             record.len(),
         )));
     }
-    let mut intervals = Vec::with_capacity(bbox_n);
-    for _ in 0..bbox_n {
-        let lo = cur.f64("bbox lo")?;
-        let hi = cur.f64("bbox hi")?;
-        intervals.push(Interval { lo, hi });
-    }
-    let bbox = BoundingBox::from_intervals(intervals);
-    let mut images = Vec::with_capacity(num_sets);
-    for &d in dims {
-        let mut ls = Vec::with_capacity(d);
-        for _ in 0..d {
-            ls.push(cur.f64("image ls")?);
-        }
-        let mut ss = Vec::with_capacity(d);
-        for _ in 0..d {
-            ss.push(cur.f64("image ss")?);
-        }
-        images.push(Cf::from_moments(n, ls, ss)?);
-    }
-    let acf = Acf::from_parts(set, images, bbox)?;
+    // The record holds the box, then the moments; the slab holds the
+    // moments, then the box.
+    let (bounds, moments) = cur.rest().split_at(16 * bbox_n);
+    let le = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut slab = Vec::with_capacity((bounds.len() + moments.len()) / 8);
+    slab.extend(moments.chunks_exact(8).map(le));
+    slab.extend(bounds.chunks_exact(8).map(le));
+    let acf = Acf::from_slab(layout, set, n, slab)?;
     Ok(ClusterSummary { id: ClusterId(id), set, acf })
 }
 
@@ -432,10 +436,6 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self, what: &str) -> Result<u64, CoreError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, CoreError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
     fn rest(&self) -> &'a [u8] {
@@ -478,10 +478,10 @@ mod tests {
     fn sample_clusters() -> Vec<ClusterSummary> {
         let layout = AcfLayout::new(vec![1, 2]);
         let mut a = Acf::empty(&layout, 0);
-        a.add_row(&[vec![1.5], vec![10.0, 0.25]]);
-        a.add_row(&[vec![2.5], vec![11.0, 0.5]]);
+        a.add_row(&[1.5, 10.0, 0.25]);
+        a.add_row(&[2.5, 11.0, 0.5]);
         let mut b = Acf::empty(&layout, 1);
-        b.add_row(&[vec![-3.125], vec![0.1, 0.2]]);
+        b.add_row(&[-3.125, 0.1, 0.2]);
         vec![
             ClusterSummary { id: ClusterId(3), set: 0, acf: a },
             ClusterSummary { id: ClusterId(9), set: 1, acf: b },
@@ -500,9 +500,9 @@ mod tests {
     fn roundtrip_survives_awkward_floats() {
         let layout = AcfLayout::new(vec![1]);
         let mut a = Acf::empty(&layout, 0);
-        a.add_row(&[vec![0.1 + 0.2]]); // classic non-representable sum
-        a.add_row(&[vec![1e-300]]);
-        a.add_row(&[vec![-123456.789012345]]);
+        a.add_row(&[0.1 + 0.2]); // classic non-representable sum
+        a.add_row(&[1e-300]);
+        a.add_row(&[-123456.789012345]);
         let clusters = vec![ClusterSummary { id: ClusterId(0), set: 0, acf: a }];
         let text = write_clusters(&clusters).unwrap();
         assert_eq!(read_clusters(&text).unwrap(), clusters);
@@ -525,6 +525,16 @@ mod tests {
         // Corrupt a float.
         let corrupt = good.replace("ls=", "ls=oops,");
         assert!(read_clusters(&corrupt).is_err());
+        // Images must match the header's layout, and the header must list
+        // one dimensionality per set.
+        assert!(good.starts_with("acf-clusters v1 sets=2 dims=1,2\n"));
+        assert!(read_clusters(&good.replace("dims=1,2", "dims=1,1")).is_err());
+        assert!(read_clusters(&good.replace("dims=1,2", "dims=1")).is_err());
+        let huge = format!("dims={},2", usize::MAX);
+        assert!(read_clusters(&good.replace("dims=1,2", &huge)).is_err());
+        // A bbox line with an odd count of bounds is an error, not a panic.
+        let odd = good.replacen("\nimage 0", " 7.0\nimage 0", 1);
+        assert!(read_clusters(&odd).unwrap_err().to_string().contains("line 2"));
     }
 
     #[test]
@@ -577,10 +587,10 @@ mod tests {
                     let mut acf = Acf::empty(&layout, set);
                     for &(a, b, c) in rows {
                         let vals = [a, b, c];
-                        let row: Vec<Vec<f64>> = dims
+                        let row: Vec<f64> = dims
                             .iter()
                             .enumerate()
-                            .map(|(s, &d)| (0..d).map(|j| vals[(s + j) % 3]).collect())
+                            .flat_map(|(s, &d)| (0..d).map(move |j| vals[(s + j) % 3]))
                             .collect();
                         acf.add_row(&row);
                     }
@@ -605,9 +615,9 @@ mod tests {
         assert!(decode_clusters(&empty, &pool).unwrap().is_empty());
         let layout = AcfLayout::new(vec![1]);
         let mut a = Acf::empty(&layout, 0);
-        a.add_row(&[vec![0.1 + 0.2]]);
-        a.add_row(&[vec![1e-300]]);
-        a.add_row(&[vec![-123456.789012345]]);
+        a.add_row(&[0.1 + 0.2]);
+        a.add_row(&[1e-300]);
+        a.add_row(&[-123456.789012345]);
         let awkward = vec![ClusterSummary { id: ClusterId(0), set: 0, acf: a }];
         let bytes = encode_clusters(&awkward, &pool).unwrap();
         assert_eq!(decode_clusters(&bytes, &pool).unwrap(), awkward);
@@ -621,7 +631,7 @@ mod tests {
                 .map(|i| {
                     let set = i % 2;
                     let mut acf = Acf::empty(&layout, set);
-                    acf.add_row(&[vec![i as f64 * 0.5], vec![i as f64, -(i as f64)]]);
+                    acf.add_row(&[i as f64 * 0.5, i as f64, -(i as f64)]);
                     ClusterSummary { id: ClusterId(i as u32), set, acf }
                 })
                 .collect()
@@ -694,10 +704,10 @@ mod tests {
                     let mut acf = Acf::empty(&layout, set);
                     for &(a, b, c) in rows {
                         let vals = [a, b, c];
-                        let row: Vec<Vec<f64>> = dims
+                        let row: Vec<f64> = dims
                             .iter()
                             .enumerate()
-                            .map(|(s, &d)| (0..d).map(|j| vals[(s + j) % 3]).collect())
+                            .flat_map(|(s, &d)| (0..d).map(move |j| vals[(s + j) % 3]))
                             .collect();
                         acf.add_row(&row);
                     }

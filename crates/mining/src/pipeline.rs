@@ -346,7 +346,7 @@ pub fn auto_density_thresholds(
 fn column_cf(clusters: &[ClusterSummary], set: SetId) -> Option<Cf> {
     let mut iter = clusters.iter().filter(|c| c.set == set);
     let first = iter.next()?;
-    let mut cf = first.acf.home_cf().clone();
+    let mut cf = first.acf.home_cf().to_cf();
     for c in iter {
         cf.merge(c.acf.home_cf());
     }

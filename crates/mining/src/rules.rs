@@ -448,8 +448,7 @@ mod tests {
         let mut acfs: Vec<Acf> = (0..3).map(|set| Acf::empty(&layout, set)).collect();
         for k in 0..10 {
             let jitter = 0.05 * k as f64;
-            let projections =
-                vec![vec![44.0 + jitter], vec![3.0 + jitter * 0.1], vec![12_000.0 + jitter * 10.0]];
+            let projections = [44.0 + jitter, 3.0 + jitter * 0.1, 12_000.0 + jitter * 10.0];
             for acf in &mut acfs {
                 acf.add_row(&projections);
             }
@@ -567,11 +566,8 @@ mod tests {
             let mut acfs: Vec<Acf> = (0..3).map(|set| Acf::empty(&layout, set)).collect();
             for k in 0..10 {
                 let jitter = 0.05 * k as f64;
-                let projections = vec![
-                    vec![base + 44.0 + jitter],
-                    vec![base + 3.0 + jitter * 0.1],
-                    vec![base + 120.0 + jitter * 10.0],
-                ];
+                let projections =
+                    [base + 44.0 + jitter, base + 3.0 + jitter * 0.1, base + 120.0 + jitter * 10.0];
                 for acf in &mut acfs {
                     acf.add_row(&projections);
                 }
@@ -698,8 +694,7 @@ mod tests {
                 let mut acf = Acf::empty(&layout, set);
                 for k in 0..10 {
                     let jitter = 0.05 * k as f64;
-                    let projections: Vec<Vec<f64>> =
-                        centre.iter().map(|c| vec![c + jitter]).collect();
+                    let projections: Vec<f64> = centre.iter().map(|c| c + jitter).collect();
                     acf.add_row(&projections);
                 }
                 ClusterSummary { id: ClusterId(id as u32), set, acf }

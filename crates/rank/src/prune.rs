@@ -13,7 +13,7 @@
 //! highest — and the output is a deterministic function of the ranked
 //! input, preserving byte-identity across worker counts and shards.
 
-use dar_core::{BoundingBox, ClusterSummary};
+use dar_core::ClusterSummary;
 use mining::Dar;
 use std::collections::HashMap;
 
@@ -42,17 +42,11 @@ struct Rep {
     next: usize,
 }
 
-/// Whether two bounding boxes overlap in every dimension.
-fn overlaps(a: &BoundingBox, b: &BoundingBox) -> bool {
-    let (ia, ib) = (a.intervals(), b.intervals());
-    ia.len() == ib.len() && ia.iter().zip(ib).all(|(x, y)| x.lo <= y.hi && y.lo <= x.hi)
-}
-
 /// Whether two same-signature rules are redundant: their set-ordered
 /// members (antecedent then consequent) have pairwise-overlapping
 /// bounding boxes.
 fn redundant(a: &[usize], b: &[usize], clusters: &[ClusterSummary]) -> bool {
-    a.iter().zip(b).all(|(&x, &y)| overlaps(clusters[x].bbox(), clusters[y].bbox()))
+    a.iter().zip(b).all(|(&x, &y)| clusters[x].bbox().overlaps(clusters[y].bbox()))
 }
 
 /// Appends `members` to `buf` ordered by attribute set, and their sets to
@@ -158,8 +152,8 @@ mod tests {
     fn cluster(id: u32, set: usize, x: f64) -> ClusterSummary {
         let layout = AcfLayout::new(vec![1, 1]);
         let mut acf = Acf::empty(&layout, set);
-        acf.add_row(&[vec![x - 0.5], vec![x - 0.5]]);
-        acf.add_row(&[vec![x + 0.5], vec![x + 0.5]]);
+        acf.add_row(&[x - 0.5, x - 0.5]);
+        acf.add_row(&[x + 0.5, x + 0.5]);
         ClusterSummary { id: ClusterId(id), set, acf }
     }
 

@@ -33,7 +33,7 @@ fn cluster(id: usize, set: usize, layout: &AcfLayout, lo: &[f64], width: &[f64])
                 }
             })
             .collect();
-        acf.add_row(&projections);
+        acf.add_row(&projections.concat());
     }
     ClusterSummary { id: ClusterId(id as u32), set, acf }
 }
@@ -60,7 +60,7 @@ fn sets_of(members: &[usize], clusters: &[ClusterSummary]) -> Vec<usize> {
 
 fn boxes_overlap(a: &ClusterSummary, b: &ClusterSummary) -> bool {
     let (ia, ib) = (a.bbox().intervals(), b.bbox().intervals());
-    ia.len() == ib.len() && ia.iter().zip(ib).all(|(x, y)| x.lo <= y.hi && y.lo <= x.hi)
+    ia.len() == ib.len() && ia.zip(ib).all(|(x, y)| x.lo <= y.hi && y.lo <= x.hi)
 }
 
 /// Whether every set of a side's signature carries overlapping members.

@@ -10,7 +10,7 @@
 //! [`parse`] round-trips every finite value bit-exactly (there is a
 //! proptest property for this in `tests/json_roundtrip.rs`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -56,10 +56,12 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one exactly.
+    /// The value as a non-negative integer, if it is one exactly and fits
+    /// a `u64`, i.e. is below 2^64. (`u64::MAX as f64` rounds up to 2^64
+    /// itself, hence the strict bound.)
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -140,23 +142,34 @@ impl Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied as whole slices; only `"`, `\` and control bytes are
+/// escaped. Every byte of a multi-byte UTF-8 scalar is at least 0x80, so
+/// each escape position is a char boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -188,7 +201,7 @@ const MAX_DEPTH: usize = 128;
 /// # Errors
 /// Returns a [`JsonError`] naming the offending byte offset.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -199,6 +212,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -308,6 +322,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. Those stop bytes are ASCII, so both ends of the
+            // run are char boundaries of the (valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -357,21 +380,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8; find the next char boundary).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                    return Err(self.err("unescaped control character in string"));
                 }
             }
         }
@@ -508,6 +518,15 @@ mod tests {
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
         assert_eq!(Json::Num(7.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+        // 2^64 is one past u64::MAX: `u64::MAX as f64` rounds up to it, so
+        // only a strict bound rejects it instead of saturating.
+        let two_pow_64 = 18_446_744_073_709_551_616.0;
+        assert_eq!(Json::Num(two_pow_64).as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Json::Num(1e30).as_u64(), None);
+        // The largest f64 below 2^64 is still a u64.
+        let below = f64::from_bits(two_pow_64.to_bits() - 1);
+        assert_eq!(Json::Num(below).as_u64(), Some(18_446_744_073_709_549_568));
         assert_eq!(Json::Str("7".into()).as_u64(), None);
     }
 }

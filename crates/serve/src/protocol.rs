@@ -784,6 +784,11 @@ mod tests {
             (r#"{"verb":"subscribe","from_epoch":"x"}"#, "from_epoch"),
             (r#"{"verb":"shard_ingest","rows":[]}"#, "seq"),
             (r#"{"verb":"shard_ingest","seq":1}"#, "rows"),
+            // 2^64 does not fit a u64; it must not saturate to u64::MAX.
+            (r#"{"verb":"shard_ingest","seq":18446744073709551616,"rows":[]}"#, "seq"),
+            (r#"{"verb":"query","max_rules":18446744073709551616}"#, "max_rules"),
+            (r#"{"verb":"query","top_k":18446744073709551616}"#, "top_k"),
+            (r#"{"verb":"query","budget_ms":18446744073709551616}"#, "budget_ms"),
             (r#"{"verb":"shard_rescan","rules":[]}"#, "clusters"),
             (r#"{"verb":"shard_rescan","clusters":"x"}"#, "rules"),
             (r#"{"verb":"shard_rescan","clusters":"x","rules":[[0.5]]}"#, "rule 0"),

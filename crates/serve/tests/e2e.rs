@@ -124,6 +124,14 @@ fn k_tcp_clients_get_byte_identical_rules_then_graceful_shutdown() {
     assert_eq!(dar_serve::json::parse(&bad).unwrap().get("ok").unwrap().as_bool(), Some(false));
     let unknown = writer.round_trip_line(r#"{"verb":"frobnicate"}"#).unwrap();
     assert!(unknown.contains("frobnicate"));
+    // A `seq` of 2^64 is not a u64: a structured error, not a batch
+    // applied at sequence u64::MAX.
+    let line = r#"{"verb":"shard_ingest","seq":18446744073709551616,"rows":[[1.0,2.0,3.0]]}"#;
+    let overflow = dar_serve::json::parse(&writer.round_trip_line(line).unwrap()).unwrap();
+    assert_eq!(overflow.get("ok").unwrap().as_bool(), Some(false), "{overflow:?}");
+    assert!(overflow.get("message").unwrap().as_str().unwrap().contains("seq"), "{overflow:?}");
+    let after = writer.stats().unwrap();
+    assert_eq!(after.get("server").unwrap().get("shard_last_seq").unwrap().as_u64(), Some(0));
     // A ragged ingest batch is rejected by engine validation, atomically.
     let ragged = Request::Ingest { rows: vec![vec![1.0, 2.0, 3.0], vec![4.0]] };
     let rejected = writer.request(&ragged).unwrap();

@@ -86,3 +86,88 @@ fn uniform_floats_survive_bit_exactly() {
         prop_assert_eq!(x.to_bits(), y.to_bits(), "{} → {}", x, encoded);
     });
 }
+
+/// Reference encoder, one char at a time: the output the run-copying
+/// `write_string` must reproduce byte for byte.
+fn reference_literal(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn long_strings_with_escapes_at_the_first_and_last_byte() {
+    let body = "x".repeat(100_000);
+    for s in [
+        format!("\"{body}\n"),
+        format!("\\{body}\""),
+        format!("\u{0001}{body}\u{001f}"),
+        format!("\t{body}"),
+        format!("{body}\r"),
+        body.clone(),
+    ] {
+        let encoded = Json::Str(s.clone()).encode();
+        assert_eq!(encoded, reference_literal(&s));
+        assert_eq!(parse(&encoded).unwrap(), Json::Str(s));
+    }
+    // Escapes the encoder never emits decode at both ends of a long run.
+    let wire = format!("\"\\u0041{body}\\/\"");
+    assert_eq!(parse(&wire).unwrap(), Json::Str(format!("A{body}/")));
+}
+
+#[test]
+fn multi_byte_utf8_next_to_escapes() {
+    for s in ["é\"ß", "\\中\\", "😀\n😀", "\u{0001}é\u{0002}", "ß\t", "\"🦀", "中\u{001f}"]
+    {
+        let encoded = Json::Str(s.to_string()).encode();
+        assert_eq!(encoded, reference_literal(s), "{s:?}");
+        assert_eq!(parse(&encoded).unwrap(), Json::Str(s.to_string()), "{s:?}");
+    }
+    // Surrogate-pair and BMP escapes directly against raw multi-byte text.
+    assert_eq!(parse(r#""é\ud83d\ude00ß\u00e9中""#).unwrap(), Json::Str("é😀ßé中".to_string()));
+}
+
+#[test]
+fn raw_control_bytes_are_still_rejected() {
+    let body = "y".repeat(10_000);
+    for (wire, at) in [
+        ("\"\u{0001}\"".to_string(), 1),
+        (format!("\"{body}\u{001f}\""), 1 + body.len()),
+        (format!("\"é\n{body}\""), 3),
+        (format!("\"{body}\\n\u{0000}\""), 3 + body.len()),
+    ] {
+        let err = parse(&wire).unwrap_err();
+        assert!(err.message.contains("control"), "{wire:?}: {err}");
+        assert_eq!(err.at, at, "{err}");
+    }
+    // An unterminated long string is an error too, not a panic.
+    assert!(parse(&format!("\"{body}")).is_err());
+    assert!(parse(&format!("\"{body}\\")).is_err());
+}
+
+#[test]
+fn arbitrary_strings_encode_like_the_reference_and_round_trip() {
+    const ALPHABET: &[char] = &[
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\u{0000}', '\u{001f}', 'é', '中', '😀',
+        '\u{7f}',
+    ];
+    proptest!(|(picks in prop::collection::vec(0usize..ALPHABET.len(), 0..64))| {
+        let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        let encoded = Json::Str(s.clone()).encode();
+        prop_assert_eq!(&encoded, &reference_literal(&s));
+        prop_assert_eq!(parse(&encoded).unwrap(), Json::Str(s));
+    });
+}

@@ -35,7 +35,7 @@ fn random_clusters(seed: u64, num_sets: usize, per_set: usize) -> Vec<ClusterSum
                         vec![base + rng.normal(0.0, sd)]
                     })
                     .collect();
-                acf.add_row(&projections);
+                acf.add_row(&projections.concat());
             }
             out.push(ClusterSummary { id: ClusterId(id), set, acf });
             id += 1;

@@ -99,7 +99,7 @@ fn acf_additivity_property() {
                 split in 1usize..29)| {
         prop_assume!(split < rows.len());
         let layout = AcfLayout::new(vec![1, 2]);
-        let project = |r: &(f64, f64, f64)| vec![vec![r.0], vec![r.1, r.2]];
+        let project = |r: &(f64, f64, f64)| [r.0, r.1, r.2];
 
         let mut all = Acf::empty(&layout, 0);
         for r in &rows { all.add_row(&project(r)); }
