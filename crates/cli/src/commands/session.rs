@@ -25,12 +25,15 @@
 //! builds; `0`, the default, means the host's available parallelism —
 //! output is byte-identical at every setting).
 //!
-//! With `--wal-path <file>`, every `ingest` batch is committed to a
-//! checksummed write-ahead log before the command reports success, and
-//! snapshots are sealed with the WAL sequence they cover. A later
-//! session with the same `--wal-path` recovers: `ingest` into a fresh
-//! engine first replays every committed batch, and `restore` replays
-//! only the records newer than the snapshot's sealed sequence.
+//! With `--wal-path <file>`, every `ingest` batch (and every `advance`)
+//! is committed to a checksummed write-ahead log before the command
+//! reports success, and snapshots are sealed with the WAL sequence they
+//! cover. A later session with the same `--wal-path` recovers through the
+//! same code as `dar serve`: the first `ingest` resumes a fresh engine
+//! with [`dar_serve::recover_backend`], and `restore` reads the WAL once
+//! and hands the records newer than the snapshot's sealed sequence to
+//! [`dar_serve::restore_and_replay`]. The session keeps no copy of the
+//! log in memory.
 //!
 //! With `--window-batches N` (plus optional `--window-slots` /
 //! `--window-policy`, as on `dar serve`), the session mines a sliding
@@ -43,9 +46,11 @@ use crate::commands::serve::window_options;
 use crate::data::{default_partitioning, load, parse_cluster_metric};
 use crate::CliError;
 use dar_core::{suggest_initial_thresholds, Schema};
-use dar_durable::{decode_frame, DiskStorage, DurableStore};
+use dar_durable::{DiskStorage, DurableStore};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{EngineBackend, RetirePolicy, WindowSpec, WindowedEngine};
+use dar_serve::{
+    recover_backend, restore_and_replay, EngineBackend, RetirePolicy, WindowSpec, WindowedEngine,
+};
 use mining::describe::describe_rule;
 use mining::{DensitySpec, RuleQuery};
 use std::fmt::Write as _;
@@ -81,38 +86,13 @@ struct Session {
     window: Option<(WindowSpec, RetirePolicy)>,
     /// The write-ahead log (`--wal-path`), if configured.
     store: Option<DurableStore>,
-    /// Every committed WAL frame with its sequence and window tag —
-    /// recovered ones plus those logged this session — so `restore` can
-    /// seq-filter its replay.
-    wal_records: Vec<WalFrame>,
 }
-
-/// A committed WAL frame: `(wal seq, window tag, rows)`. Untagged frames
-/// come from static sessions; an empty tagged frame marks an explicit
-/// `advance`.
-type WalFrame = (u64, Option<u64>, Vec<Vec<f64>>);
 
 impl Session {
     fn engine(&mut self) -> Result<&mut EngineBackend, CliError> {
         self.engine
             .as_mut()
             .ok_or_else(|| CliError::new("no engine yet: `ingest` or `restore` first"))
-    }
-
-    /// Replays WAL frames with sequence strictly above `after_seq` into
-    /// `engine`, returning how many non-empty batches were applied.
-    fn replay_into(&self, engine: &mut EngineBackend, after_seq: u64) -> Result<u64, CliError> {
-        let mut replayed = 0u64;
-        for (seq, tag, rows) in &self.wal_records {
-            if *seq <= after_seq {
-                continue;
-            }
-            engine.replay_frame(*tag, rows)?;
-            if !rows.is_empty() {
-                replayed += 1;
-            }
-        }
-        Ok(replayed)
     }
 
     /// Builds a fresh backend under this session's window configuration.
@@ -130,36 +110,19 @@ impl Session {
     }
 }
 
-/// Opens the WAL and decodes every committed frame with its sequence.
-fn open_wal(path: &str) -> Result<(DurableStore, Vec<WalFrame>), CliError> {
-    let storage = Arc::new(DiskStorage);
-    let (store, _) = DurableStore::open(storage, None, Some(path.into()))
-        .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    // Re-read for the per-record sequences (open has already healed any
-    // torn tail, so every surviving record decodes).
-    let (records, _) = dar_durable::wal::read_records(&DiskStorage, Path::new(path))
-        .map_err(|e| CliError::new(format!("{path}: {e}")))?;
-    let mut decoded = Vec::with_capacity(records.len());
-    for record in records {
-        let (tag, rows) = decode_frame(&record.body)
-            .map_err(|e| CliError::new(format!("{path}: record seq {}: {e}", record.seq)))?;
-        decoded.push((record.seq, tag, rows));
-    }
-    Ok((store, decoded))
-}
-
 /// Interprets a full script, returning the accumulated output.
 pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
     let mut config = EngineConfig::default();
     config.birch.memory_budget = args.number::<usize>("memory-kb", 1024)? << 10;
     config.metric = parse_cluster_metric(args.optional("metric").unwrap_or("d2"))?;
     config.threads = args.number("threads", 0)?;
-    let (store, wal_records) = match args.optional("wal-path") {
-        Some(path) => {
-            let (store, records) = open_wal(path)?;
-            (Some(store), records)
-        }
-        None => (None, Vec::new()),
+    let store = match args.optional("wal-path") {
+        Some(path) => Some(
+            DurableStore::open(Arc::new(DiskStorage), None, Some(path.into()))
+                .map_err(|e| CliError::new(format!("{path}: {e}")))?
+                .0,
+        ),
+        None => None,
     };
     let mut session = Session {
         engine: None,
@@ -169,7 +132,6 @@ pub fn run_script(script: &str, args: &Args) -> Result<String, CliError> {
         config,
         window: window_options(args)?,
         store,
-        wal_records,
     };
 
     let mut out = String::new();
@@ -215,17 +177,26 @@ fn step(
                     &partitioning,
                     session.threshold_frac,
                 )?);
-                let mut engine = session.fresh_backend(partitioning, config)?;
+                let fresh = session.fresh_backend(partitioning, config)?;
                 // Crash recovery: a fresh engine first replays every batch
                 // a previous session committed to this WAL.
-                let replayed = session.replay_into(&mut engine, 0)?;
-                if replayed > 0 {
-                    let _ = writeln!(
-                        out,
-                        "wal: replayed {replayed} committed batches ({} tuples)",
-                        engine.tuples()
-                    );
-                }
+                let engine = match session.store.as_ref().and_then(DurableStore::wal_path) {
+                    Some(wal) => {
+                        let (engine, report) =
+                            recover_backend(fresh, Arc::new(DiskStorage), None, Some(wal))
+                                .map_err(|e| CliError::new(format!("{}: {e}", wal.display())))?;
+                        if report.wal_batches_replayed > 0 {
+                            let _ = writeln!(
+                                out,
+                                "wal: replayed {} committed batches ({} tuples)",
+                                report.wal_batches_replayed,
+                                engine.tuples()
+                            );
+                        }
+                        engine
+                    }
+                    None => fresh,
+                };
                 session.engine = Some(engine);
             }
             let engine = session.engine.as_mut().expect("just created");
@@ -238,16 +209,9 @@ fn step(
                 Some(store) => {
                     // Windowed frames carry the window they landed in, so
                     // recovery rebuilds the exact ring.
-                    let seq = match &info {
-                        Some(w) => store.log_tagged_batch(w.window_seq, &rows),
-                        None => store.log_batch(&rows),
-                    }
-                    .map_err(|e| CliError::new(e.to_string()))?;
-                    session.wal_records.push((
-                        seq,
-                        info.as_ref().map(|w| w.window_seq),
-                        rows.clone(),
-                    ));
+                    let seq = store
+                        .log_frame(info.as_ref().map(|w| w.window_seq), &rows)
+                        .map_err(|e| CliError::new(e.to_string()))?;
                     format!(", wal seq {seq}")
                 }
                 None => String::new(),
@@ -277,9 +241,8 @@ fn step(
                 // with the newly opened window.
                 Some(store) => {
                     let seq = store
-                        .log_tagged_batch(outcome.opened_seq, &[])
+                        .log_frame(Some(outcome.opened_seq), &[])
                         .map_err(|e| CliError::new(e.to_string()))?;
-                    session.wal_records.push((seq, Some(outcome.opened_seq), Vec::new()));
                     format!(", wal seq {seq}")
                 }
                 None => String::new(),
@@ -324,18 +287,22 @@ fn step(
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?
                 .1
                 .unwrap_or(0);
+            // The WAL frames the snapshot does not cover, read once.
+            let mut frames = match session.store.as_ref().and_then(DurableStore::wal_path) {
+                Some(wal) => {
+                    DurableStore::open(Arc::new(DiskStorage), None, Some(wal.to_path_buf()))
+                        .map_err(|e| CliError::new(format!("{}: {e}", wal.display())))?
+                        .1
+                        .frames
+                }
+                None => Vec::new(),
+            };
+            frames.retain(|frame| frame.seq > snapshot_seq);
             let mut config = session.config.clone();
             config.min_support_frac = session.support;
-            let mut engine = EngineBackend::restore(&bytes, config)?;
-            if engine.is_windowed() != session.window.is_some() {
-                return Err(CliError::new(format!(
-                    "{path}: snapshot is a {} engine but this session is {} — \
-                     match --window-batches to the snapshot",
-                    if engine.is_windowed() { "windowed" } else { "static" },
-                    if session.window.is_some() { "windowed" } else { "static" },
-                )));
-            }
-            let replayed = session.replay_into(&mut engine, snapshot_seq)?;
+            let engine = restore_and_replay(&bytes, config, session.window.is_some(), &frames)
+                .map_err(|e| CliError::new(format!("{path}: {e}")))?;
+            let replayed = frames.iter().filter(|f| !f.rows.is_empty()).count();
             let _ = writeln!(
                 out,
                 "restore {path}: epoch {} ({} tuples{})",
@@ -355,10 +322,10 @@ fn step(
             let top: usize = kv(rest, "top=").map_or(Ok(10), |v| {
                 v.parse().map_err(|_| CliError::new(format!("bad top= value {v:?}")))
             })?;
-            let (outcome, partitioning) = {
+            let (outcome, partitioning, width) = {
                 let engine = session.engine()?;
                 let outcome = engine.query(&query)?;
-                (outcome, engine.partitioning().clone())
+                (outcome, engine.partitioning().clone(), engine.required_row_width())
             };
             let measure = outcome.measure;
             let _ = writeln!(
@@ -378,10 +345,7 @@ fn step(
                     .coverage
                     .map_or_else(String::new, |c| format!(" [anytime coverage {c:.3}]")),
             );
-            let schema = session
-                .schema
-                .clone()
-                .unwrap_or_else(|| Schema::interval_attrs(arity(&partitioning)));
+            let schema = session.schema.clone().unwrap_or_else(|| Schema::interval_attrs(width));
             for (rule, value) in outcome.rules.iter().zip(&outcome.values).take(top) {
                 let suffix = match measure {
                     mining::Measure::Degree => String::new(),
@@ -426,10 +390,6 @@ fn step(
         }
     }
     Ok(())
-}
-
-fn arity(partitioning: &dar_core::Partitioning) -> usize {
-    partitioning.sets().iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1)
 }
 
 /// Finds `key=`-prefixed token and returns its value.
@@ -482,6 +442,8 @@ mod tests {
 
     fn session_dir(test: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dar_cli_session_{test}"));
+        // Start empty: a panicked earlier run leaves its WAL behind.
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -665,5 +627,92 @@ mod tests {
     fn comments_and_blanks_are_ignored() {
         let args = parse(&[]).unwrap();
         assert_eq!(run_script("# nothing\n\n   # indented\n", &args).unwrap(), "");
+    }
+
+    fn wal_args(wal: &std::path::Path, extra: &[&str]) -> Args {
+        let mut parts = vec!["--support", "0.1", "--threshold-frac", "0.1"];
+        parts.extend_from_slice(extra);
+        parts.extend_from_slice(&["--wal-path", wal.to_str().unwrap()]);
+        parse(&argv(&parts)).unwrap()
+    }
+
+    #[test]
+    fn footerless_snapshot_replays_every_committed_frame() {
+        let dir = session_dir("footerless");
+        let batches = write_batches(&dir, 3);
+        let sealed = dir.join("sealed.snap");
+        let bare = dir.join("bare.snap");
+        let args = parse(&argv(&["--support", "0.1", "--threshold-frac", "0.1"])).unwrap();
+        run_script(&format!("ingest {}\nsnapshot {}\n", batches[0], sealed.display()), &args)
+            .unwrap();
+        // A snapshot without the checksum footer restores at seq 0.
+        let bytes = std::fs::read(&sealed).unwrap();
+        let (body, seq) = dar_durable::unseal_bytes(&bytes).unwrap();
+        assert_eq!(seq, Some(0));
+        std::fs::write(&bare, body).unwrap();
+
+        // Two committed frames on top of the bare snapshot, then a crash.
+        let wal_args = wal_args(&dir.join("ingest.wal"), &[]);
+        let script =
+            format!("restore {}\ningest {}\ningest {}\n", bare.display(), batches[1], batches[2]);
+        let out = run_script(&script, &wal_args).unwrap();
+        assert!(out.contains("restore") && !out.contains("wal batches replayed"), "{out}");
+        assert!(out.contains("total 6000, wal seq 2"), "{out}");
+
+        // Restoring the bare snapshot again replays both frames.
+        let out = run_script(&format!("restore {}\n", bare.display()), &wal_args).unwrap();
+        assert!(out.contains("6000 tuples, 2 wal batches replayed"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flipped_snapshot_byte_fails_restore_naming_the_path() {
+        let dir = session_dir("flipped");
+        let batches = write_batches(&dir, 1);
+        let snap = dir.join("epoch.snap");
+        let args = parse(&argv(&["--support", "0.1", "--threshold-frac", "0.1"])).unwrap();
+        run_script(&format!("ingest {}\nsnapshot {}\n", batches[0], snap.display()), &args)
+            .unwrap();
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let body_len = dar_durable::unseal_bytes(&bytes).unwrap().0.len();
+        bytes[body_len / 2] ^= 0x01;
+        std::fs::write(&snap, &bytes).unwrap();
+        let err = run_script(&format!("restore {}\n", snap.display()), &args).unwrap_err();
+        let err = err.to_string();
+        assert!(err.contains("line 1") && err.contains(snap.to_str().unwrap()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn windowed_restore_replays_the_advances_after_the_snapshot() {
+        let dir = session_dir("windowed_restore");
+        let batches = write_batches(&dir, 2);
+        let window = ["--window-batches", "2", "--window-slots", "2"];
+        let prefix = |snap: &std::path::Path| {
+            format!(
+                "ingest {}\nsnapshot {}\ningest {}\nadvance\n",
+                batches[0],
+                snap.display(),
+                batches[1]
+            )
+        };
+        let last_line = |out: String| out.lines().last().unwrap().to_string();
+
+        // Control: one session that never restarts.
+        let args = wal_args(&dir.join("control.wal"), &window);
+        let control =
+            run_script(&(prefix(&dir.join("control.snap")) + "advance\n"), &args).unwrap();
+        let control = last_line(control);
+        assert!(control.starts_with("advance:") && control.contains(", span "), "{control}");
+
+        // The same history with a restart after the first advance: the
+        // restored ring must replay the post-snapshot batch and advance.
+        let args = wal_args(&dir.join("crash.wal"), &window);
+        let snap = dir.join("crash.snap");
+        run_script(&prefix(&snap), &args).unwrap();
+        let out = run_script(&format!("restore {}\nadvance\n", snap.display()), &args).unwrap();
+        assert!(out.contains("1 wal batches replayed"), "{out}");
+        assert_eq!(last_line(out), control);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

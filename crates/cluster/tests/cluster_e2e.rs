@@ -19,7 +19,7 @@
 use dar_cluster::{ClusterConfig, Coordinator, CoordinatorServer};
 use dar_core::{Metric, Partitioning, Schema};
 use dar_engine::{DarEngine, EngineConfig};
-use dar_serve::{protocol, recover_engine, Client, Request, ServeConfig, Server, ServerHandle};
+use dar_serve::{protocol, recover_backend, Client, Request, ServeConfig, Server, ServerHandle};
 use mining::RuleQuery;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -375,9 +375,13 @@ fn shard_crash_recovery_loses_no_acked_batch_and_rules_still_match() {
     crashed.shutdown();
     crashed.join().unwrap();
     let config = durable_shard_config(wal_paths[1].clone());
-    let (recovered, report) =
-        recover_engine(fresh_engine(), Arc::clone(&config.storage), None, Some(&wal_paths[1]))
-            .unwrap();
+    let (recovered, report) = recover_backend(
+        fresh_engine().into(),
+        Arc::clone(&config.storage),
+        None,
+        Some(&wal_paths[1]),
+    )
+    .unwrap();
     assert_eq!(report.wal_batches_replayed, 1, "shard 1 held one of the two round-1 batches");
     assert_eq!(recovered.tuples(), 40, "WAL replay must restore every acked tuple");
     handles[1] = Some(Server::start(recovered, &crashed_addr, config).unwrap());

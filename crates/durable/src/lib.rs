@@ -44,5 +44,5 @@ pub use snapshot::{
     SnapshotSource,
 };
 pub use storage::{DiskStorage, FaultPlan, FaultyStorage, Storage};
-pub use store::{DurableStore, Recovered, RecoveryReport};
+pub use store::{DurableStore, Frame, Recovered, RecoveryReport};
 pub use wal::{WalRecord, WalReport};

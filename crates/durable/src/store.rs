@@ -31,17 +31,23 @@ pub struct Recovered {
     pub snapshot: Option<Vec<u8>>,
     /// The WAL sequence the snapshot includes (0 when none).
     pub snapshot_seq: u64,
-    /// Committed batches newer than the snapshot, in log order — replay
-    /// these into the restored engine. Window-tagged frames contribute
-    /// their rows here too (empty advance markers are skipped), so an
-    /// all-history engine recovering a windowed log loses nothing.
-    pub batches: Vec<Vec<Vec<f64>>>,
-    /// The same records with their window tags: `(window_seq, rows)` per
-    /// frame, in log order, including empty advance markers. A windowed
-    /// engine replays these to rebuild its ring exactly.
-    pub frames: Vec<(Option<u64>, Vec<Vec<f64>>)>,
+    /// Committed frames newer than the snapshot, in log order, including
+    /// empty advance markers — replay these into the restored engine.
+    pub frames: Vec<Frame>,
     /// Diagnostics for operators and tests.
     pub report: RecoveryReport,
+}
+
+/// One committed WAL record, decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame {
+    /// The WAL sequence the record was committed under.
+    pub seq: u64,
+    /// The window the rows landed in (`None` for an untagged frame). An
+    /// empty tagged frame marks an explicit advance to that window.
+    pub window: Option<u64>,
+    /// The batch's rows.
+    pub rows: Vec<Vec<f64>>,
 }
 
 /// How recovery went.
@@ -110,7 +116,6 @@ impl DurableStore {
             None => (None, 0),
         };
 
-        let mut batches = Vec::new();
         let mut frames = Vec::new();
         let mut last_seq = snapshot_seq;
         if let Some(path) = &wal_path {
@@ -129,12 +134,7 @@ impl DurableStore {
                     continue; // already inside the snapshot
                 }
                 match decode_frame(&record.body) {
-                    Ok((tag, rows)) => {
-                        if !rows.is_empty() {
-                            batches.push(rows.clone());
-                        }
-                        frames.push((tag, rows));
-                    }
+                    Ok((window, rows)) => frames.push(Frame { seq: record.seq, window, rows }),
                     // CRC passed but the payload doesn't decode: an
                     // encoder/decoder version skew, not a torn tail.
                     Err(detail) => {
@@ -146,7 +146,7 @@ impl DurableStore {
                 }
             }
         }
-        report.wal_batches_replayed = batches.len();
+        report.wal_batches_replayed = frames.iter().filter(|f| !f.rows.is_empty()).count();
 
         let store = DurableStore {
             storage,
@@ -155,7 +155,7 @@ impl DurableStore {
             next_seq: last_seq + 1,
             installed_seq: snapshot_seq,
         };
-        Ok((store, Recovered { snapshot, snapshot_seq, batches, frames, report }))
+        Ok((store, Recovered { snapshot, snapshot_seq, frames, report }))
     }
 
     /// The WAL path, if batch logging is configured.
@@ -178,37 +178,27 @@ impl DurableStore {
         self.next_seq - 1
     }
 
-    /// Commits one ingest batch to the WAL (encode, frame, append,
-    /// fsync). When this returns `Ok`, the batch survives any crash.
+    /// Commits one ingest batch to the WAL as an untagged frame (see
+    /// [`DurableStore::log_frame`]).
     ///
     /// # Errors
-    /// I/O failures (the caller should treat the batch as *not*
-    /// committed and refuse to acknowledge it), or no WAL configured.
+    /// As [`DurableStore::log_frame`].
     pub fn log_batch(&mut self, rows: &[Vec<f64>]) -> Result<u64, DurableError> {
-        let Some(path) = &self.wal_path else {
-            return Err(DurableError::io(
-                "append",
-                PathBuf::new(),
-                std::io::Error::other("no WAL configured"),
-            ));
-        };
-        let seq = self.next_seq;
-        wal::append_record(self.storage.as_ref(), path, seq, &encode_batch(rows))?;
-        self.next_seq += 1;
-        Ok(seq)
+        self.log_frame(None, rows)
     }
 
-    /// Commits one window-tagged ingest batch to the WAL — the sliding-
-    /// window variant of [`DurableStore::log_batch`]. `window_seq` is the
-    /// window the rows landed in; an empty `rows` is an explicit-advance
-    /// marker (logged with the newly opened window's sequence). Recovery
-    /// surfaces these as [`Recovered::frames`].
+    /// Commits one frame to the WAL (encode, frame, append, fsync) and
+    /// returns its sequence. When this returns `Ok`, the frame survives
+    /// any crash. `window` tags the frame with the window its rows landed
+    /// in (sliding-window hosts); an empty tagged `rows` is an explicit-
+    /// advance marker, logged with the newly opened window's sequence.
     ///
     /// # Errors
-    /// As [`DurableStore::log_batch`].
-    pub fn log_tagged_batch(
+    /// I/O failures (the caller should treat the frame as *not*
+    /// committed and refuse to acknowledge it), or no WAL configured.
+    pub fn log_frame(
         &mut self,
-        window_seq: u64,
+        window: Option<u64>,
         rows: &[Vec<f64>],
     ) -> Result<u64, DurableError> {
         let Some(path) = &self.wal_path else {
@@ -218,13 +208,12 @@ impl DurableStore {
                 std::io::Error::other("no WAL configured"),
             ));
         };
+        let body = match window {
+            Some(window_seq) => encode_tagged_batch(window_seq, rows),
+            None => encode_batch(rows),
+        };
         let seq = self.next_seq;
-        wal::append_record(
-            self.storage.as_ref(),
-            path,
-            seq,
-            &encode_tagged_batch(window_seq, rows),
-        )?;
+        wal::append_record(self.storage.as_ref(), path, seq, &body)?;
         self.next_seq += 1;
         Ok(seq)
     }
@@ -273,6 +262,11 @@ mod tests {
         (0..rows).map(|i| vec![tag, i as f64]).collect()
     }
 
+    /// The rows of every non-empty recovered frame, in log order.
+    fn replayed_rows(recovered: &Recovered) -> Vec<Vec<Vec<f64>>> {
+        recovered.frames.iter().filter(|f| !f.rows.is_empty()).map(|f| f.rows.clone()).collect()
+    }
+
     fn open_disk(dir: &Path) -> (DurableStore, Recovered) {
         DurableStore::open(
             Arc::new(DiskStorage),
@@ -287,13 +281,13 @@ mod tests {
         let dir = scratch_dir("store_rt");
         let (mut store, recovered) = open_disk(&dir);
         assert!(recovered.snapshot.is_none());
-        assert!(recovered.batches.is_empty());
+        assert!(recovered.frames.is_empty());
         assert_eq!(store.log_batch(&batch(1.0, 3)).unwrap(), 1);
         assert_eq!(store.log_batch(&batch(2.0, 2)).unwrap(), 2);
         drop(store); // "crash"
 
         let (mut store, recovered) = open_disk(&dir);
-        assert_eq!(recovered.batches, vec![batch(1.0, 3), batch(2.0, 2)]);
+        assert_eq!(replayed_rows(&recovered), vec![batch(1.0, 3), batch(2.0, 2)]);
         assert_eq!(recovered.report.wal_batches_replayed, 2);
         // Sequences continue where they left off.
         assert_eq!(store.log_batch(&batch(3.0, 1)).unwrap(), 3);
@@ -313,7 +307,7 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(recovered.snapshot.as_deref(), Some(b"state after two batches\n".as_slice()));
         assert_eq!(recovered.snapshot_seq, 2);
-        assert_eq!(recovered.batches, vec![batch(3.0, 2)], "only seq>2 replays");
+        assert_eq!(replayed_rows(&recovered), vec![batch(3.0, 2)], "only seq>2 replays");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -337,7 +331,7 @@ mod tests {
         let (_, recovered) = open_disk(&dir);
         assert_eq!(recovered.snapshot.as_deref(), Some(b"snap A\n".as_slice()));
         assert_eq!(recovered.snapshot_seq, 1);
-        assert_eq!(recovered.batches, vec![batch(2.0, 1), batch(3.0, 1), batch(4.0, 1)]);
+        assert_eq!(replayed_rows(&recovered), vec![batch(2.0, 1), batch(3.0, 1), batch(4.0, 1)]);
         assert_eq!(recovered.report.corrupt_snapshots_skipped, 1);
         assert!(recovered.report.degraded_artifacts());
         std::fs::remove_dir_all(&dir).ok();
@@ -348,17 +342,22 @@ mod tests {
         let dir = scratch_dir("store_tagged");
         let (mut store, _) = open_disk(&dir);
         store.log_batch(&batch(1.0, 2)).unwrap();
-        store.log_tagged_batch(7, &batch(2.0, 3)).unwrap();
-        store.log_tagged_batch(8, &[]).unwrap(); // explicit-advance marker
+        assert_eq!(store.log_frame(Some(7), &batch(2.0, 3)).unwrap(), 2);
+        assert_eq!(store.log_frame(Some(8), &[]).unwrap(), 3); // explicit-advance marker
         drop(store);
 
         let (_, recovered) = open_disk(&dir);
         assert_eq!(
             recovered.frames,
-            vec![(None, batch(1.0, 2)), (Some(7), batch(2.0, 3)), (Some(8), Vec::new()),]
+            vec![
+                Frame { seq: 1, window: None, rows: batch(1.0, 2) },
+                Frame { seq: 2, window: Some(7), rows: batch(2.0, 3) },
+                Frame { seq: 3, window: Some(8), rows: Vec::new() },
+            ]
         );
         // The rows-only view skips the empty marker but keeps the data.
-        assert_eq!(recovered.batches, vec![batch(1.0, 2), batch(2.0, 3)]);
+        assert_eq!(replayed_rows(&recovered), vec![batch(1.0, 2), batch(2.0, 3)]);
+        assert_eq!(recovered.report.wal_batches_replayed, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -663,23 +663,22 @@ impl DarEngine {
         }
     }
 
-    /// Replays write-ahead-log batches recovered by `dar-durable` on top
-    /// of a restored (or fresh) engine, in log order. Identical to
-    /// ingesting them live — forest insertion is purely sequential — so a
-    /// crash-recovered engine answers queries exactly as the uncrashed one
-    /// would have. Returns the number of batches applied.
+    /// Replays one write-ahead-log batch recovered by `dar-durable` on top
+    /// of a restored (or fresh) engine; call it per batch, in log order.
+    /// Identical to ingesting it live — forest insertion is purely
+    /// sequential — so a crash-recovered engine answers queries exactly as
+    /// the uncrashed one would have.
     ///
     /// # Errors
-    /// Propagates validation errors from [`DarEngine::ingest`]; batches
-    /// before the failing one remain applied (they were committed and
-    /// valid), so the caller can surface the error without losing state.
-    pub fn replay_wal(&mut self, batches: &[Vec<Vec<f64>>]) -> Result<u64, CoreError> {
-        for rows in batches {
-            self.ingest(rows)?;
-            self.stats.wal_batches_replayed += 1;
-            crate::metrics::metrics().wal_batches_replayed.inc();
-        }
-        Ok(batches.len() as u64)
+    /// Propagates validation errors from [`DarEngine::ingest`], which
+    /// reject the batch whole; batches replayed before it remain applied
+    /// (they were committed and valid), so the caller can surface the
+    /// error without losing state.
+    pub fn replay_wal(&mut self, rows: &[Vec<f64>]) -> Result<(), CoreError> {
+        self.ingest(rows)?;
+        self.stats.wal_batches_replayed += 1;
+        crate::metrics::metrics().wal_batches_replayed.inc();
+        Ok(())
     }
 
     /// Cumulative engine statistics (forest rebuild count sampled live).

@@ -15,8 +15,8 @@
 
 use crate::shared::SharedEngine;
 use crate::stats::ServerStats;
-use dar_durable::{DurableStore, RecoveryReport, Storage};
-use dar_engine::DarEngine;
+use dar_durable::{DurableStore, Frame, RecoveryReport, Storage};
+use dar_engine::EngineConfig;
 use dar_stream::EngineBackend;
 use std::io;
 use std::path::Path;
@@ -32,7 +32,7 @@ pub struct Durability {
 impl Durability {
     /// Opens the durable store for the given paths. The recovered state is
     /// discarded — callers recover the engine separately (see
-    /// [`recover_engine`]) before the server starts; this open only
+    /// [`recover_backend`]) before the server starts; this open only
     /// re-derives the next WAL sequence number from disk.
     ///
     /// # Errors
@@ -58,52 +58,20 @@ impl Durability {
     }
 }
 
-/// Recovers an engine from the durable artifacts at boot: loads the
-/// newest verifiable snapshot (falling back past corrupt ones), restores
-/// it — or keeps `fresh` when no snapshot survives — and replays the WAL
-/// suffix. Returns the recovered engine and a report of what was found.
-///
-/// # Errors
-/// Unrepairable artifacts, an unparseable (but checksum-valid) snapshot,
-/// or replay failures — all conditions where silently starting empty
-/// would masquerade as data loss.
-pub fn recover_engine(
-    fresh: DarEngine,
-    storage: Arc<dyn Storage>,
-    snapshot_path: Option<&Path>,
-    wal_path: Option<&Path>,
-) -> io::Result<(DarEngine, RecoveryReport)> {
-    let (_, recovered) = DurableStore::open(
-        storage,
-        snapshot_path.map(Path::to_path_buf),
-        wal_path.map(Path::to_path_buf),
-    )
-    .map_err(io::Error::other)?;
-    let config = fresh.config().clone();
-    let mut engine = match &recovered.snapshot {
-        Some(body) => DarEngine::restore(body, config)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        None => fresh,
-    };
-    engine
-        .replay_wal(&recovered.batches)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok((engine, recovered.report))
-}
-
-/// Recovers an [`EngineBackend`] from the durable artifacts at boot —
-/// the windowed-aware sibling of [`recover_engine`]. The snapshot header
-/// decides the variant (a `dar-stream` body restores the window ring;
-/// anything else the classic engine), falling back to `fresh` when no
-/// snapshot survives. The WAL suffix is then replayed *frame by frame*:
-/// tagged frames fast-forward the window ring to the sequence they carry
-/// (empty tagged frames are explicit-advance markers), so a crash-restart
-/// rebuilds the exact ring the acknowledged history produced.
+/// Recovers an [`EngineBackend`] from the durable artifacts at boot:
+/// loads the newest verifiable snapshot (falling back past corrupt ones)
+/// and resumes from it through [`restore_and_replay`] — or, when no
+/// snapshot survives, replays the WAL onto `fresh`. Tagged frames
+/// fast-forward a window ring to the sequence they carry, so a
+/// crash-restart rebuilds the exact state the acknowledged history
+/// produced. Returns the recovered backend and a report of what was
+/// found.
 ///
 /// # Errors
 /// Unrepairable artifacts, an unparseable (but checksum-valid) snapshot,
 /// a snapshot variant mismatching `fresh`'s window configuration, or
-/// replay failures.
+/// replay failures — all conditions where silently starting empty would
+/// masquerade as data loss.
 pub fn recover_backend(
     fresh: EngineBackend,
     storage: Arc<dyn Storage>,
@@ -116,33 +84,51 @@ pub fn recover_backend(
         wal_path.map(Path::to_path_buf),
     )
     .map_err(io::Error::other)?;
-    let config = fresh.config().clone();
-    let was_windowed = fresh.is_windowed();
-    let mut backend = match &recovered.snapshot {
+    let backend = match &recovered.snapshot {
         Some(body) => {
-            let restored = EngineBackend::restore(body, config)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            if restored.is_windowed() != was_windowed {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "snapshot is a {} engine but the server was configured {} — \
-                         match --window-batches to the on-disk state",
-                        if restored.is_windowed() { "windowed" } else { "static" },
-                        if was_windowed { "windowed" } else { "static" },
-                    ),
-                ));
-            }
-            restored
+            let (config, windowed) = (fresh.config().clone(), fresh.is_windowed());
+            restore_and_replay(body, config, windowed, &recovered.frames)?
         }
-        None => fresh,
+        None => replay(fresh, &recovered.frames)?,
     };
-    for (tag, rows) in &recovered.frames {
-        backend
-            .replay_frame(*tag, rows)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    }
     Ok((backend, recovered.report))
+}
+
+/// Restores a snapshot `body` under `config` — a `dar-stream` body as a
+/// window ring, anything else as the classic engine — then replays the
+/// WAL `frames` newer than the snapshot's seal onto it, one by one.
+///
+/// # Errors
+/// An unparseable body, a restored window mode other than `windowed`, or
+/// replay failures.
+pub fn restore_and_replay(
+    body: &[u8],
+    config: EngineConfig,
+    windowed: bool,
+    frames: &[Frame],
+) -> io::Result<EngineBackend> {
+    let backend = EngineBackend::restore(body, config).map_err(invalid_data)?;
+    if backend.is_windowed() != windowed {
+        let mode = |windowed| if windowed { "windowed" } else { "static" };
+        return Err(invalid_data(format!(
+            "snapshot is a {} engine but a {} one is configured — \
+             match --window-batches to the snapshot",
+            mode(backend.is_windowed()),
+            mode(windowed),
+        )));
+    }
+    replay(backend, frames)
+}
+
+fn replay(mut backend: EngineBackend, frames: &[Frame]) -> io::Result<EngineBackend> {
+    for frame in frames {
+        backend.replay_frame(frame.window, &frame.rows).map_err(invalid_data)?;
+    }
+    Ok(backend)
+}
+
+fn invalid_data(error: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, error.to_string())
 }
 
 /// Closes the current epoch and installs it through the atomic snapshot
@@ -160,9 +146,7 @@ pub fn persist_snapshot(
     // Store lock before engine lock — same order as the ingest path.
     let mut store = durability.lock();
     let outcome = (|| {
-        let (text, epoch, tuples) = shared
-            .snapshot()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let (text, epoch, tuples) = shared.snapshot().map_err(invalid_data)?;
         store.install_snapshot(&text).map_err(io::Error::other)?;
         Ok((epoch, tuples))
     })();

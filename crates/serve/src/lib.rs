@@ -36,8 +36,8 @@
 //! * [`Client`] — a small blocking client for scripting and load
 //!   generation, with bounded-backoff retry helpers for `overloaded`/
 //!   `degraded` responses.
-//! * [`recover_engine`] / [`recover_backend`] / [`Durability`] — the
-//!   `dar-durable` wiring: boot-time recovery (snapshot restore + WAL
+//! * [`recover_backend`] / [`restore_and_replay`] / [`Durability`] — the
+//!   `dar-durable` wiring: the one recovery path (snapshot restore + WAL
 //!   replay, window-tag-aware for sliding-window servers), apply-then-log
 //!   ingest acknowledged only after the WAL append, atomic snapshot
 //!   installs, and sticky degraded (read-only) mode when the log fails.
@@ -70,7 +70,7 @@ mod shared;
 mod stats;
 
 pub use client::{Backoff, Client, ServerError, Subscription};
-pub use durability::{recover_backend, recover_engine, Durability};
+pub use durability::{recover_backend, restore_and_replay, Durability};
 pub use frontend::{Frontend, Handler, Next, Reply};
 pub use json::{Json, JsonError};
 pub use protocol::Request;

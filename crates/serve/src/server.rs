@@ -139,9 +139,9 @@ impl Server {
     /// Propagates bind failures and unrepairable durability artifacts.
     ///
     /// Note: the engine passed in should already be recovered (see
-    /// [`crate::recover_engine`] / [`crate::recover_backend`]); this
-    /// constructor only reopens the durable store to position the WAL
-    /// sequence counter. Accepts a plain [`dar_engine::DarEngine`], a sliding-window
+    /// [`crate::recover_backend`]); this constructor only reopens the
+    /// durable store to position the WAL sequence counter. Accepts a plain
+    /// [`dar_engine::DarEngine`], a sliding-window
     /// [`dar_stream::WindowedEngine`], or an [`EngineBackend`].
     pub fn start(
         engine: impl Into<EngineBackend>,
@@ -484,11 +484,8 @@ fn commit<'r, T>(
     if let Some(store) = store.as_deref_mut() {
         // Apply-then-log: acknowledge only once the change is both in
         // memory and on the log.
-        let logged = match frame(&outcome) {
-            (Some(window_seq), rows) => store.log_tagged_batch(window_seq, rows),
-            (None, rows) => store.log_batch(rows),
-        };
-        if let Err(e) = logged {
+        let (window, rows) = frame(&outcome);
+        if let Err(e) = store.log_frame(window, rows) {
             ctx.stats.wal_append_failures.fetch_add(1, Ordering::Relaxed);
             ctx.stats.set_degraded();
             return Err(error(
@@ -605,8 +602,7 @@ fn shard_rescan(
     let (records, _) = dar_durable::wal::read_records(&*ctx.config.storage, wal_path)
         .map_err(|e| ("io", e.to_string()))?;
     let partitioning = ctx.shared.partitioning();
-    let width =
-        partitioning.sets().iter().flat_map(|s| s.attrs.iter()).copied().max().map_or(0, |m| m + 1);
+    let (_, _, width) = ctx.shared.meta();
     let mut builder = dar_core::RelationBuilder::new(dar_core::Schema::interval_attrs(width));
     for record in &records {
         let (_, rows) = dar_durable::decode_frame(&record.body)

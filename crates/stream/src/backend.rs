@@ -78,7 +78,7 @@ impl EngineBackend {
                 }
                 // Through `replay_wal` (not plain ingest) so the engine's
                 // replay counters see recovered frames.
-                e.replay_wal(std::slice::from_ref(&rows.to_vec())).map(|_| ())
+                e.replay_wal(rows)
             }
             EngineBackend::Windowed(e) => e.replay_frame(tag, rows),
         }
